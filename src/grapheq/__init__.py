@@ -53,6 +53,7 @@ from .errors import (
     GameError,
     InconsistentLawError,
     InvalidGeneratorError,
+    LinearProgramError,
     MalformedDocumentError,
     QuestionMismatchError,
     SizeLimitError,

@@ -351,6 +351,8 @@ def _cmd_penalty(args) -> int:
 
 
 def _cmd_kfold(args) -> int:
+    if args.k < 1:
+        raise GameError(f"--k must be at least 1, got {args.k}")
     game, file_params = _load_game(args.game)
     params = _params_from_args(args, file_params)
     if args.method == "bruteforce":

@@ -1,41 +1,184 @@
-"""Best social welfare over obedient correlated advice, by exact simplex.
+"""Best social welfare over obedient correlated advice, by an exact LP.
 
 The mediator samples a full profile of local functions and tells each player
 theirs.  Obedience: for every player, recommended function f and alternative
 g, switching from f to g must not raise that player's expected utility.  The
 maximum social welfare over such distributions is a linear program over the
-4^n profile weights, solved with a dense simplex on Fractions using Bland's
-rule (no tolerances, no cycling).
+4^n profile weights.
+
+The program is built as an integer matrix.  A dense float64 simplex with
+Bland's rule, started from a pure Nash vertex, only proposes an optimal
+basis.  That basis is then proved feasible and optimal in exact arithmetic
+(Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007): the basic
+solution and the dual prices are solved for in Fractions and every reduced
+cost is checked in integers.  If the proof fails, the exact Bland simplex on
+Fractions solves the program from the Nash vertex instead.  No float ever
+decides the returned value.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import numpy as np
+
 from .classical import LOCAL_FN_COUNT, PayoffTable, _mutation_step, enumerate_nash, profile_to_code
-from .errors import SizeLimitError
+from .errors import EmptyEquilibriumSetError, LinearProgramError, SizeLimitError
 from .games import GameSpec, PayoffParams
 
+_FLOAT_TOL = 1e-9
 
-def _obedience_rows(table: PayoffTable, params: PayoffParams):
-    """One row per (player, recommended f, alternative g): u(f) - u(g) >= 0."""
-    grid, scale = table.utility_grid(params)
-    n = table.n
-    rows = []
+
+def _obedience_matrix(grid: np.ndarray, n: int) -> np.ndarray:
+    """Integer obedience rows, one per (player j, recommended f, alternative
+    g != f) in that order: at every profile where j plays f, the utility j
+    keeps by not switching to g.  Obedience is ``rows @ x >= 0``."""
+    ncodes = grid.shape[0]
+    codes = np.arange(ncodes)
+    rows = np.zeros((n * LOCAL_FN_COUNT * (LOCAL_FN_COUNT - 1), ncodes), dtype=grid.dtype)
+    r = 0
     for j in range(n):
         step = _mutation_step(n, j)
+        digit = (codes // step) % LOCAL_FN_COUNT
         for f in range(LOCAL_FN_COUNT):
+            at_f = codes[digit == f]
             for g in range(LOCAL_FN_COUNT):
-                if g == f:
-                    continue
-                row = [Fraction(0)] * table.ncodes
-                for code in range(table.ncodes):
-                    if (code >> (2 * (n - 1 - j))) & 3 != f:
-                        continue
-                    dev = code + (g - f) * step
-                    row[code] = Fraction(int(grid[code, j]) - int(grid[dev, j]), scale)
-                rows.append(row)
+                if g != f:
+                    rows[r, at_f] = grid[at_f, j] - grid[at_f + (g - f) * step, j]
+                    r += 1
     return rows
+
+
+def _float_basis(objective, ge_rows: np.ndarray, start_col: int) -> list[int] | None:
+    """Candidate optimal basis of the program ``_simplex_max`` solves.
+
+    The same tableau and Bland pivots as ``_simplex_max``, in float64 with
+    tolerances.  Returns the basic column of every tableau row, or None when
+    the float run stops without one (unbounded ray or pivot limit).
+    """
+    m, nx = ge_rows.shape
+    a = ge_rows.astype(float)
+    norms = np.abs(a).max(axis=1, keepdims=True)
+    norms[norms == 0] = 1
+    cost = np.asarray(objective).astype(float)
+    # rows: [eq | 0 | 1], [-ge | I | 0], then reduced costs [c | 0 | 0]
+    tableau = np.zeros((m + 2, nx + m + 1))
+    tableau[0, :nx] = 1
+    tableau[0, -1] = 1
+    tableau[1 : m + 1, :nx] = -a / norms
+    tableau[1 : m + 1, nx : nx + m] = np.eye(m)
+    tableau[-1, :nx] = cost / max(np.abs(cost).max(), 1.0)
+
+    def pivot(row: int, col: int) -> None:
+        tableau[row] /= tableau[row, col]
+        factors = tableau[:, col].copy()
+        factors[row] = 0
+        tableau[:] -= np.outer(factors, tableau[row])
+
+    basis = [start_col] + [nx + i for i in range(m)]
+    pivot(0, start_col)
+    # Bland's rule cannot cycle in exact arithmetic, but tolerance ties can;
+    # the cap only bounds the float run, and the exact path follows a miss
+    for _ in range(50 * (m + 1)):
+        entering = np.flatnonzero(tableau[-1, :-1] > _FLOAT_TOL)
+        if entering.size == 0:
+            return basis
+        enter = int(entering[0])
+        column = tableau[: m + 1, enter]
+        candidates = np.flatnonzero(column > _FLOAT_TOL)
+        if candidates.size == 0:
+            return None
+        ratios = tableau[candidates, -1] / column[candidates]
+        ties = candidates[ratios <= ratios.min() + _FLOAT_TOL]
+        leave = min(ties.tolist(), key=lambda r: basis[r])
+        pivot(leave, enter)
+        basis[leave] = enter
+    return None
+
+
+def _solve(matrix, rhs) -> list[Fraction] | None:
+    """Exact solution of ``matrix @ x = rhs`` by Gauss-Jordan elimination on
+    Fractions, or None if the square matrix is singular."""
+    size = len(matrix)
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(size):
+        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = 1 / rows[col][col]
+        pivot_row = [v * inv for v in rows[col]]
+        rows[col] = pivot_row
+        support = [c for c in range(col, size + 1) if pivot_row[c] != 0]
+        for r in range(size):
+            factor = rows[r][col]
+            if r != col and factor != 0:
+                row = rows[r]
+                for c in support:
+                    row[c] -= factor * pivot_row[c]
+    return [row[size] for row in rows]
+
+
+def _certify(objective, ge_rows: np.ndarray, basis: list[int]):
+    """Exact (value, solution) of ``basis`` if it is feasible and optimal.
+
+    Columns index the program of ``_simplex_max``: ``nx`` profile columns,
+    then one slack per row of ``ge_rows``; its equality rows are the
+    normalisation ``sum x = 1`` and ``-ge_rows @ x + s = 0``.  Solves
+    ``B x_B = e_0`` and ``B^T y = c_B`` in Fractions, then requires
+    ``x_B >= 0`` and a nonpositive reduced cost on every column, checked in
+    integers over the common denominator of ``y``.  Returns None otherwise.
+    """
+    m, nx = ge_rows.shape
+    cost = np.asarray(objective).astype(object)
+    columns = []
+    for b in basis:
+        if b < nx:
+            columns.append([1] + [-v for v in ge_rows[:, b].tolist()])
+        else:
+            unit = [0] * (m + 1)
+            unit[b - nx + 1] = 1
+            columns.append(unit)
+    x = _solve([list(row) for row in zip(*columns)], [1] + [0] * m)
+    if x is None or any(v < 0 for v in x):
+        return None
+    y = _solve(columns, [cost[b] if b < nx else 0 for b in basis])
+    denom = math.lcm(*(v.denominator for v in y))
+    prices = [int(v * denom) for v in y]
+    # a slack column is the unit vector of its row: reduced cost -y_i
+    if any(p < 0 for p in prices[1:]):
+        return None
+    # a profile column is (1, -ge_rows[:, j]): reduced cost times denom is
+    # denom*c_j - y_0 + sum_i y_i ge_rows[i, j]
+    priced = [i for i in range(m) if prices[i + 1]]
+    reduced = denom * cost - prices[0]
+    if priced:
+        weights = np.array([prices[i + 1] for i in priced], dtype=object)
+        reduced = reduced + ge_rows[priced].astype(object).T @ weights
+    if any(v > 0 for v in reduced.tolist()):
+        return None
+    value = sum((cost[b] * v for b, v in zip(basis, x) if b < nx), Fraction(0))
+    solution = {b: v for b, v in zip(basis, x) if b < nx and v != 0}
+    return value, solution
+
+
+def _exact_max(objective, ge_rows: np.ndarray, start_col: int):
+    """Maximize objective . x over {x >= 0 : sum x = 1, ge_rows @ x >= 0}.
+
+    Integer data; ``start_col`` must index a feasible vertex.  Returns the
+    exact optimum and its nonzero weights by column.  The float basis is
+    used only once ``_certify`` has proved it; otherwise ``_simplex_max``
+    solves the program exactly from ``start_col``.
+    """
+    basis = _float_basis(objective, ge_rows, start_col)
+    certified = _certify(objective, ge_rows, basis) if basis is not None else None
+    if certified is not None:
+        return certified
+    cost = [Fraction(int(v)) for v in objective]
+    rows = [[Fraction(v) for v in row] for row in ge_rows.tolist()]
+    value, solution = _simplex_max(cost, [Fraction(1)] * len(cost), rows, start_col)
+    return value, {c: w for c, w in enumerate(solution) if w != 0}
 
 
 def _simplex_max(objective, eq_row, ge_rows, start_col):
@@ -57,13 +200,15 @@ def _simplex_max(objective, eq_row, ge_rows, start_col):
     basis = [start_col] + [nx + i for i in range(m)]
     # price column start_col into the identity position of row 0
     pivot_val = tableau[0][start_col]
-    assert pivot_val != 0
+    if pivot_val == 0:
+        raise LinearProgramError(f"start column {start_col} is not a vertex of the program")
     tableau[0] = [v / pivot_val for v in tableau[0]]
     for r in range(1, m + 1):
         factor = tableau[r][start_col]
         if factor != 0:
             tableau[r] = [v - factor * p for v, p in zip(tableau[r], tableau[0])]
-    assert all(tableau[r][-1] >= 0 for r in range(m + 1)), "start vertex infeasible"
+    if any(tableau[r][-1] < 0 for r in range(m + 1)):
+        raise LinearProgramError(f"start vertex {start_col} is infeasible")
     # reduced costs for maximization: c - c_B . B^{-1} A
     cost = list(objective) + [Fraction(0)] * m + [Fraction(0)]
     cb = [cost[b] for b in basis]
@@ -85,7 +230,8 @@ def _simplex_max(objective, eq_row, ge_rows, start_col):
                 ):
                     best_ratio = ratio
                     leave = r
-        assert leave is not None, "LP unbounded; obedience polytope is bounded"
+        if leave is None:
+            raise LinearProgramError("program is unbounded; its feasible set must be a polytope")
         piv = tableau[leave][enter]
         tableau[leave] = [v / piv for v in tableau[leave]]
         for r in range(m + 1):
@@ -119,13 +265,12 @@ def best_correlated_sw(
         raise SizeLimitError("correlated LP is limited to n <= 6 (4^n variables)")
     table = table or PayoffTable(game)
     nash = enumerate_nash(game, params, table=table)
-    assert nash, "no pure Nash profile; obedient point masses unavailable"
+    if not nash:
+        raise EmptyEquilibriumSetError("no pure Nash profile to start the correlated LP from")
+    grid, scale = table.utility_grid(params)
     start = profile_to_code(nash[0], table.n)
-    sw = [table.social_welfare(code, params) for code in range(table.ncodes)]
-    eq_row = [Fraction(1)] * table.ncodes
-    rows = _obedience_rows(table, params)
-    value, solution = _simplex_max(sw, eq_row, rows, start)
+    value, dist = _exact_max(grid.sum(axis=1), _obedience_matrix(grid, table.n), start)
+    value /= scale * table.n
     if return_distribution:
-        dist = {code: w for code, w in enumerate(solution) if w != 0}
         return value, dist
     return value

@@ -37,5 +37,9 @@ class EmptyEquilibriumSetError(GameError):
     """No profile satisfies the requested equilibrium criterion."""
 
 
+class LinearProgramError(GameError):
+    """A simplex was started off the feasible set or met an unbounded ray."""
+
+
 class InconsistentLawError(GameError):
     """Parity constraints of an outcome law are mutually inconsistent."""

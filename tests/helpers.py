@@ -18,3 +18,16 @@ def toy_two_player_game(w0=Fraction(1, 2), w1=Fraction(1, 2), name="toy"):
             QuestionSpec("q1", (0, 1), d1.involved, d1.parity, w1, frozenset({1})),
         ),
     )
+
+
+def cycle_game(n):
+    """C_n built as the builtins are: the all-ones question plus one
+    single-generator question per player, each of weight 1/(n+1)."""
+    graph = Graph.cycle(n)
+    weight = Fraction(1, n + 1)
+    questions = []
+    for qid, gen in [("Ta", frozenset(range(n)))] + [(f"T{i}", frozenset({i})) for i in range(n)]:
+        der = derive_question(graph, gen)
+        bits = tuple(1 if j in gen else 0 for j in range(n))
+        questions.append(QuestionSpec(qid, bits, der.involved, der.parity, weight, gen))
+    return GameSpec(f"C{n}", graph, tuple(questions))

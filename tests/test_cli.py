@@ -79,6 +79,14 @@ def test_kfold_bruteforce_agrees():
     assert json.loads(dec)["csw"] == json.loads(bf)["csw"]
 
 
+def test_kfold_rejects_k_below_one():
+    for k in ("0", "-2"):
+        code, out, err = run_cli("kfold", "--game", "NC00_C5", "--k", k, "--v0", "2/3", "--v1", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: --k must be at least 1")
+
+
 def test_players_needed_json():
     code, out, _ = run_cli(
         "players-needed", "--game", "NC00_C5", "--v0", "2/3", "--v1", "1", "--eps", "1/100"

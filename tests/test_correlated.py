@@ -2,14 +2,28 @@
 
 from fractions import Fraction
 
-from grapheq import PayoffParams, best_correlated_sw, best_csw, builtin_game, qsw
+import numpy as np
+import pytest
+
+from grapheq import (
+    EmptyEquilibriumSetError,
+    LinearProgramError,
+    PayoffParams,
+    best_correlated_sw,
+    best_csw,
+    builtin_game,
+    qsw,
+)
+from grapheq import correlated
 from grapheq.classical import (
     LOCAL_FN_COUNT,
     PayoffTable,
     _mutation_step,
+    enumerate_nash,
     profile_to_code,
 )
-from helpers import toy_two_player_game
+from grapheq.correlated import _certify, _exact_max, _float_basis, _obedience_matrix, _simplex_max
+from helpers import cycle_game, toy_two_player_game
 
 PARAMS = PayoffParams(Fraction(2, 3), Fraction(1))
 
@@ -72,10 +86,7 @@ def test_simplex_against_scipy_on_random_programs():
     # intersected with A.x >= 0, where column 0 is a feasible vertex
     import random
 
-    import numpy as np
     from scipy.optimize import linprog
-
-    from grapheq.correlated import _simplex_max
 
     rng = random.Random(2718)
     for _ in range(20):
@@ -89,6 +100,8 @@ def test_simplex_against_scipy_on_random_programs():
         assert sum(solution) == 1 and all(s >= 0 for s in solution)
         assert all(sum(r * s for r, s in zip(row, solution)) >= 0 for row in rows)
         assert sum(c * s for c, s in zip(objective, solution)) == value
+        certified, _ = _exact_max([int(v) for v in objective], np.array([[int(v) for v in row] for row in rows]), 0)
+        assert certified == value
         res = linprog(
             c=[-float(v) for v in objective],
             A_ub=(-np.array(rows, dtype=float)),
@@ -116,3 +129,129 @@ def test_correlated_on_tiny_game():
     # richer answer
     assert value == Fraction(3, 4)
     assert profile_to_code((3, 3), 2) in dist
+
+
+def obedience_rows_reference(table, params):
+    """The obedience rows by a direct loop over profiles, in integer units."""
+    grid, _ = table.utility_grid(params)
+    n = table.n
+    rows = []
+    for j in range(n):
+        step = _mutation_step(n, j)
+        for f in range(LOCAL_FN_COUNT):
+            for g in range(LOCAL_FN_COUNT):
+                if g == f:
+                    continue
+                row = [0] * table.ncodes
+                for code in range(table.ncodes):
+                    if (code >> (2 * (n - 1 - j))) & 3 == f:
+                        row[code] = int(grid[code, j]) - int(grid[code + (g - f) * step, j])
+                rows.append(row)
+    return rows
+
+
+def float_optimum(game, params):
+    """The same LP in floats, solved by HiGHS as an outside reference."""
+    from scipy.optimize import linprog
+
+    table = PayoffTable(game)
+    rows = np.array(obedience_rows_reference(table, params), dtype=float)
+    sw = [float(table.social_welfare(code, params)) for code in range(table.ncodes)]
+    res = linprog(
+        c=[-v for v in sw],
+        A_ub=-rows,
+        b_ub=np.zeros(len(rows)),
+        A_eq=np.ones((1, table.ncodes)),
+        b_eq=[1.0],
+        bounds=[(0, None)] * table.ncodes,
+        method="highs",
+    )
+    assert res.status == 0
+    return -res.fun
+
+
+def lp_data(game, params):
+    """Integer objective, obedience rows, Nash start column and value unit."""
+    table = PayoffTable(game)
+    grid, scale = table.utility_grid(params)
+    start = profile_to_code(enumerate_nash(game, params, table=table)[0], game.n)
+    return grid.sum(axis=1), _obedience_matrix(grid, game.n), start, scale * game.n
+
+
+@pytest.mark.parametrize(
+    "game, ratio, expected",
+    [
+        (builtin_game("NC00_C5"), Fraction(1, 6), Fraction(125, 198)),
+        (builtin_game("NC01_C5"), Fraction(1, 6), Fraction(11, 18)),
+        (builtin_game("NC01_C5"), Fraction(2, 3), Fraction(7, 9)),
+        (cycle_game(6), Fraction(2, 3), Fraction(19, 21)),
+    ],
+    ids=["NC00-1/6", "NC01-1/6", "NC01-2/3", "C6-2/3"],
+)
+def test_correlated_value_regressions(game, ratio, expected):
+    params = PayoffParams(ratio, Fraction(1))
+    value, dist = best_correlated_sw(game, params, return_distribution=True)
+    assert value == expected
+    assert sum(dist.values()) == 1 and all(w > 0 for w in dist.values())
+    assert obedience_violations(game, params, dist) == []
+    table = PayoffTable(game)
+    assert sum(w * table.social_welfare(code, params) for code, w in dist.items()) == value
+    assert abs(float(value) - float_optimum(game, params)) < 1e-9
+
+
+def test_obedience_matrix_matches_loop_reference():
+    for game, ratio in [(builtin_game("NC00_C5"), Fraction(2, 3)), (cycle_game(4), Fraction(1, 6))]:
+        params = PayoffParams(ratio, Fraction(1))
+        table = PayoffTable(game)
+        grid, _ = table.utility_grid(params)
+        assert _obedience_matrix(grid, game.n).tolist() == obedience_rows_reference(table, params)
+
+
+def test_certifier_rejects_feasible_nonoptimal_basis():
+    objective, rows, start, unit = lp_data(builtin_game("NC00_C5"), PARAMS)
+    m, nx = rows.shape
+    nash_basis = [start] + [nx + i for i in range(m)]
+    assert _certify(objective, rows, nash_basis) is None
+    value, dist = _certify(objective, rows, _float_basis(objective, rows, start))
+    assert value / unit == Fraction(97, 126)
+    assert sum(dist.values()) == 1
+
+
+@pytest.mark.parametrize("float_result", ["nash-start", "none"])
+def test_failed_certificate_falls_back_to_exact_simplex(monkeypatch, float_result):
+    # on C4 the Nash-start basis is feasible but not optimal, and the exact
+    # simplex is quick enough to serve as the oracle
+    game, params = cycle_game(4), PayoffParams(Fraction(2, 3), Fraction(1))
+    objective, rows, start, unit = lp_data(game, params)
+    m, nx = rows.shape
+    nash_basis = [start] + [nx + i for i in range(m)]
+    assert _certify(objective, rows, nash_basis) is None
+    monkeypatch.setattr(
+        correlated, "_float_basis", lambda *_: nash_basis if float_result == "nash-start" else None
+    )
+    value, dist = best_correlated_sw(game, params, return_distribution=True)
+    table = PayoffTable(game)
+    ref_value, ref_solution = _simplex_max(
+        [table.social_welfare(code, params) for code in range(table.ncodes)],
+        [Fraction(1)] * table.ncodes,
+        [[Fraction(v) for v in row] for row in obedience_rows_reference(table, params)],
+        start,
+    )
+    assert value == ref_value == Fraction(9, 10)
+    assert dist == {code: w for code, w in enumerate(ref_solution) if w != 0}
+
+
+def test_simplex_raises_typed_errors():
+    one = [Fraction(1)] * 2
+    # the point mass on column 1 violates the only row
+    with pytest.raises(LinearProgramError, match="infeasible"):
+        _simplex_max([Fraction(0), Fraction(1)], one, [[Fraction(1), Fraction(-1)]], 1)
+    # column 1 is free of the normalisation, so its weight can grow forever
+    with pytest.raises(LinearProgramError, match="unbounded"):
+        _simplex_max([Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)], [], 0)
+
+
+def test_missing_nash_start_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(correlated, "enumerate_nash", lambda *args, **kwargs: [])
+    with pytest.raises(EmptyEquilibriumSetError):
+        best_correlated_sw(builtin_game("NC00_C5"), PARAMS)
