@@ -69,10 +69,8 @@ from .games import (
     format_rational,
     game_from_document,
     game_to_document,
-    load_game,
     p_involved,
     parse_rational,
-    save_game,
 )
 from .quantum import (
     AdviceCorrelation,

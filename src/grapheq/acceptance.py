@@ -31,6 +31,7 @@ from .classical import (
     PayoffTable,
     build_report,
     best_csw,
+    code_to_profile,
     evaluate,
     profile_to_code,
     ratio_regimes,
@@ -75,7 +76,7 @@ def check_nash_counts() -> CheckResult:
     for label, lo, hi in ref.REGIMES:
         codes = regimes.codes_on(lo, hi)
         report = build_report(
-            game, [tuple((c >> (2 * (5 - 1 - j))) & 3 for j in range(5)) for c in codes],
+            game, [code_to_profile(c, 5) for c in codes],
             "nash", table=table, group=group,
         )
         results[label] = (report.profile_count, report.orbit_count)
@@ -195,7 +196,7 @@ def check_equilibrium_reference_tables() -> CheckResult:
     ]
     regimes = ratio_regimes(nc01, table=t01)
     codes = regimes.codes_on(ref.HALF, Fraction(1))
-    nash_high = [tuple((c >> (2 * (5 - 1 - j))) & 3 for j in range(5)) for c in codes]
+    nash_high = [code_to_profile(c, 5) for c in codes]
     problems += [
         f"NC01 40/6 (nash) {p}"
         for p in _match_reference(

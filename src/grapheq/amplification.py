@@ -19,14 +19,14 @@ from fractions import Fraction
 import numpy as np
 
 from .classical import (
-    LOCAL_FN_COUNT,
     EquilibriumReport,
     PayoffTable,
+    _deviation_gains,
+    _nash_mask,
     apply_local,
     build_report,
     enumerate_nash,
     profile_to_code,
-    _mutation_step,
 )
 from .errors import EmptyEquilibriumSetError, SizeLimitError
 from .games import GameSpec, PayoffParams
@@ -170,10 +170,7 @@ class GroupTable:
         self.pwin_num = tbl.pwin_num  # scale: tbl.scale
         self.pwin_scale = tbl.scale
         self.sum_util_num = self.win_util_num.sum(axis=1)
-        nash_profiles = enumerate_nash(game, params, table=tbl)
-        self.nash = np.zeros(tbl.ncodes, dtype=bool)
-        for p in nash_profiles:
-            self.nash[profile_to_code(p, game.n)] = True
+        self.nash = _nash_mask(tbl.utility_grid(params)[0], tbl.n)
         self.zero_pwin = self.pwin_num == 0
 
     def p_win(self, code: int) -> Fraction:
@@ -224,15 +221,9 @@ def product_nash_matrix_bruteforce(game: GameSpec, params: PayoffParams, gt: Gro
     peak = int(np.abs(win_u).max(initial=0)) * int(pw.max(initial=0))
     if peak >= 2**62:
         raise SizeLimitError("utility scale too large for the int64 product scan")
-    codes = np.arange(ncodes, dtype=np.int64)
     viol = np.zeros((ncodes, ncodes), dtype=bool)
     for j in range(n):
-        step = _mutation_step(n, j)
-        digit = (codes >> (2 * (n - 1 - j))) & 3
-        anchor = codes - digit * step
-        for g in range(LOCAL_FN_COUNT):
-            dev = anchor + g * step
-            diff = win_u[dev, j] - win_u[codes, j]
+        for diff in _deviation_gains(win_u, n, j):
             # player in the row group deviating against column group's pwin
             viol |= np.outer(diff, pw) > 0
     nash = ~viol & ~viol.T

@@ -1,18 +1,24 @@
 """Exact enumeration and classification of deterministic classical strategies.
 
 Each player picks one of four local functions of their type bit (constant 0,
-constant 1, identity, negation, encoded 0..3).  Profiles are scanned
-exhaustively with rational arithmetic: Nash and Pareto sets, symmetry
-orbits, best social welfare, and the breakpoint structure of the equilibrium
-set as a function of the payoff ratio v0/v1.
+constant 1, identity, negation, encoded 0..3).  A profile is coded in base 4
+with player 0 as the most significant digit, and every profile is scanned
+exhaustively: Nash and Pareto sets, symmetry orbits, best social welfare,
+and the breakpoint structure of the equilibrium set as a function of the
+payoff ratio v0/v1.
+
+Every scan runs on ``_player_axis``, a zero-copy view that puts one player's
+local function on an axis, so each unilateral deviation is a slice.  Values
+are exact integers (Python integers where int64 could overflow); no float
+decides anything.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +30,8 @@ from .games import GameSpec, PayoffParams
 # local function code x own type bit -> answer bit
 _ANSWER = ((0, 0), (1, 1), (0, 1), (1, 0))
 LOCAL_FN_COUNT = 4
+# (played, alternative) pairs of local functions in lexicographic order
+_SWITCHES = tuple(itertools.permutations(range(LOCAL_FN_COUNT), 2))
 
 
 def apply_local(code: int, type_bit: int) -> int:
@@ -61,17 +69,6 @@ class LinearPayoff:
 
     def win_coefficients(self) -> tuple[Fraction, Fraction]:
         return self.win_v0, self.win_v1
-
-
-def average_payoff(payoffs) -> LinearPayoff:
-    payoffs = list(payoffs)
-    n = len(payoffs)
-    return LinearPayoff(
-        sum(p.win_v0 for p in payoffs) / n,
-        sum(p.win_v1 for p in payoffs) / n,
-        sum(p.lose_v0 for p in payoffs) / n,
-        sum(p.lose_v1 for p in payoffs) / n,
-    )
 
 
 @dataclass(frozen=True)
@@ -127,12 +124,15 @@ class PayoffTable:
         self.n = n
         self.ncodes = 4**n
         self.scale = math.lcm(*(q.weight.denominator for q in game.questions))
+        # reported values recur across thousands of entries: build each once
+        self._forms: dict[tuple[int, ...], LinearPayoff] = {}
+        self._p_wins: dict[int, Fraction] = {}
         self.weight_nums = [
             q.weight.numerator * (self.scale // q.weight.denominator) for q in game.questions
         ]
         codes = np.arange(self.ncodes, dtype=np.int64)
         answer_lut = np.array(_ANSWER, dtype=np.uint8)
-        digits = [((codes >> (2 * (n - 1 - j))) & 3).astype(np.int64) for j in range(n)]
+        digits = [((codes >> (2 * (n - 1 - j))) & 3).astype(np.uint8) for j in range(n)]
         self.win0 = np.zeros((self.ncodes, n), dtype=np.int64)
         self.win1 = np.zeros((self.ncodes, n), dtype=np.int64)
         self.lose0 = np.zeros((self.ncodes, n), dtype=np.int64)
@@ -156,21 +156,21 @@ class PayoffTable:
                 self.lose1[:, j] += np.where(~win & one, w, 0)
 
     def payoff(self, code: int, player: int) -> LinearPayoff:
-        d = self.scale
-        return LinearPayoff(
-            Fraction(int(self.win0[code, player]), d),
-            Fraction(int(self.win1[code, player]), d),
-            Fraction(int(self.lose0[code, player]), d),
-            Fraction(int(self.lose1[code, player]), d),
-        )
+        key = tuple(int(c[code, player]) for c in (self.win0, self.win1, self.lose0, self.lose1))
+        form = self._forms.get(key)
+        if form is None:
+            form = self._forms[key] = LinearPayoff(*(Fraction(k, self.scale) for k in key))
+        return form
 
     def p_win(self, code: int) -> Fraction:
-        return Fraction(int(self.pwin_num[code]), self.scale)
+        num = int(self.pwin_num[code])
+        return self._p_wins.setdefault(num, Fraction(num, self.scale))
 
     def utility_grid(self, params: PayoffParams) -> tuple[np.ndarray, int]:
         """Utilities of all (profile, player) pairs times ``scale * lcm``.
 
-        Falls back to arbitrary-precision objects if int64 could overflow.
+        Each player's column is contiguous.  Falls back to arbitrary-precision
+        objects if int64 could overflow.
         """
         lden = math.lcm(
             params.v0.denominator,
@@ -183,89 +183,79 @@ class PayoffTable:
         g0 = int(params.penalty * params.v0 * lden)
         g1 = int(params.penalty * params.v1 * lden)
         bound = self.scale * (abs(a0) + abs(a1) + abs(g0) + abs(g1))
-        if bound < 2**62:
-            grid = self.win0 * a0 + self.win1 * a1 - self.lose0 * g0 - self.lose1 * g1
-        else:
-            grid = (
-                self.win0.astype(object) * a0
-                + self.win1.astype(object) * a1
-                - self.lose0.astype(object) * g0
-                - self.lose1.astype(object) * g1
+        # built player-major, with temporaries of one column only
+        grid = np.empty((self.n, self.ncodes), dtype=np.int64 if bound < 2**62 else object)
+        for j, row in enumerate(grid):
+            w0, w1, l0, l1 = (
+                c[:, j].astype(grid.dtype, copy=False)
+                for c in (self.win0, self.win1, self.lose0, self.lose1)
             )
-        return grid, self.scale * lden
+            row[...] = w0 * a0 + w1 * a1 - l0 * g0 - l1 * g1
+        return grid.T, self.scale * lden
 
     def social_welfare(self, code: int, params: PayoffParams) -> Fraction:
         grid_row = [self.payoff(code, j).value(params) for j in range(self.n)]
         return sum(grid_row) / self.n
 
 
-def _mutation_step(n: int, player: int) -> int:
-    return 1 << (2 * (n - 1 - player))
+def _player_axis(arr: np.ndarray, n: int, j: int) -> np.ndarray:
+    """View of ``arr`` (profile codes on axis 0) whose axis 1 is player j's
+    local function.
+
+    Element ``[hi, f, lo]`` is the profile whose digits before j read ``hi``,
+    whose digit j is ``f`` and whose digits after j read ``lo``, so every
+    unilateral deviation of j is a move along axis 1.  No data is copied for
+    a contiguous array or a column of one, so writes go through.
+    """
+    return arr.reshape(
+        LOCAL_FN_COUNT**j, LOCAL_FN_COUNT, LOCAL_FN_COUNT ** (n - 1 - j), *arr.shape[1:]
+    )
 
 
-def _scan_nash(grid, n, lo, hi, strict) -> list[int]:
-    out = []
-    for code in range(lo, hi):
-        ok = True
-        for j in range(n):
-            f = (code >> (2 * (n - 1 - j))) & 3
-            base = grid[code, j]
-            step = _mutation_step(n, j)
-            anchor = code - f * step
-            for g in range(LOCAL_FN_COUNT):
-                if g == f:
-                    continue
-                dev = grid[anchor + g * step, j]
-                if dev > base or (strict and dev == base):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(code)
-    return out
+def _deviation_gains(values: np.ndarray, n: int, j: int) -> np.ndarray:
+    """``gains[g, code]``: the change in ``values[:, j]`` when player j of
+    profile ``code`` switches to local function g (zero for its own)."""
+    own = _player_axis(values[:, j], n, j)
+    return (own.transpose(1, 0, 2)[:, :, None, :] - own).reshape(LOCAL_FN_COUNT, -1)
 
 
-def _scan_pareto(grid, n, lo, hi) -> list[int]:
-    # keep profiles where every improving unilateral deviation strictly hurts
-    # someone else
-    out = []
-    for code in range(lo, hi):
-        ok = True
-        for j in range(n):
-            f = (code >> (2 * (n - 1 - j))) & 3
-            base = grid[code, j]
-            step = _mutation_step(n, j)
-            anchor = code - f * step
-            for g in range(LOCAL_FN_COUNT):
-                if g == f:
-                    continue
-                dev_code = anchor + g * step
-                if grid[dev_code, j] > base:
-                    hurts = any(
-                        grid[dev_code, k] < grid[code, k] for k in range(n) if k != j
-                    )
-                    if not hurts:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            out.append(code)
-    return out
+def _nash_mask(grid: np.ndarray, n: int, strict: bool = False) -> np.ndarray:
+    """Profile codes with no improving unilateral deviation; ``strict`` also
+    rejects ties, so the played function must be the unique best reply."""
+    nash = np.ones(grid.shape[0], dtype=bool)
+    for j in range(n):
+        own = _player_axis(grid[:, j], n, j)
+        best = own == own.max(axis=1, keepdims=True)
+        if strict:
+            best &= best.sum(axis=1, keepdims=True) == 1
+        _player_axis(nash, n, j)[...] &= best
+    return nash
 
 
-def _chunked_scan(worker, grid, n, ncodes, threads, *extra) -> list[int]:
-    if threads <= 1:
-        return worker(grid, n, 0, ncodes, *extra)
-    bounds = np.linspace(0, ncodes, threads + 1, dtype=int)
-    chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, grid, n, a, b, *extra) for a, b in chunks]
-        out: list[int] = []
-        for fut in futures:  # chunk order keeps the output canonical
-            out.extend(fut.result())
-    return out
+def _pareto_mask(grid: np.ndarray, n: int) -> np.ndarray:
+    """Profile codes where every improving unilateral deviation strictly
+    hurts some other player."""
+    columns = np.ascontiguousarray(grid.T)  # a view for a player-major grid
+    pareto = np.ones(grid.shape[0], dtype=bool)
+    for j in range(n):
+        utils = [_player_axis(column, n, j) for column in columns]
+        kept = _player_axis(pareto, n, j)
+        for f, g in _SWITCHES:
+            fine = utils[j][:, g] <= utils[j][:, f]
+            for k, util in enumerate(utils):
+                if k != j:
+                    fine |= util[:, g] < util[:, f]
+            kept[:, f] &= fine
+    return pareto
+
+
+# Profiles found by the scans are interned, so repeated scans share their
+# tuples; ``PayoffTable`` caps n at 8, which bounds the cache at 4^8 per n.
+_interned_profile = functools.cache(code_to_profile)
+
+
+def _profiles(mask: np.ndarray, n: int) -> list[tuple[int, ...]]:
+    return [_interned_profile(c, n) for c in np.flatnonzero(mask).tolist()]
 
 
 def enumerate_nash(
@@ -273,7 +263,6 @@ def enumerate_nash(
     params: PayoffParams,
     *,
     strict: bool = False,
-    threads: int = 1,
     table: PayoffTable | None = None,
 ) -> list[tuple[int, ...]]:
     """All profiles with no improving unilateral deviation, in lex order.
@@ -283,8 +272,7 @@ def enumerate_nash(
     """
     table = table or PayoffTable(game)
     grid, _ = table.utility_grid(params)
-    codes = _chunked_scan(_scan_nash, grid, table.n, table.ncodes, threads, strict)
-    return [code_to_profile(c, table.n) for c in codes]
+    return _profiles(_nash_mask(grid, table.n, strict), table.n)
 
 
 def enumerate_pareto(
@@ -292,7 +280,6 @@ def enumerate_pareto(
     params: PayoffParams,
     *,
     alternative: bool = False,
-    threads: int = 1,
     table: PayoffTable | None = None,
 ) -> list[tuple[int, ...]]:
     """Profiles where improving unilateral deviations always hurt someone.
@@ -305,15 +292,12 @@ def enumerate_pareto(
     table = table or PayoffTable(game)
     grid, _ = table.utility_grid(params)
     if alternative:
-        codes = []
-        for code in range(table.ncodes):
-            ge = (grid >= grid[code]).all(axis=1)
-            gt = (grid > grid[code]).any(axis=1)
-            if not np.any(ge & gt):
-                codes.append(code)
-    else:
-        codes = _chunked_scan(_scan_pareto, grid, table.n, table.ncodes, threads)
-    return [code_to_profile(c, table.n) for c in codes]
+        dominated = [
+            np.any((grid >= grid[code]).all(axis=1) & (grid > grid[code]).any(axis=1))
+            for code in range(table.ncodes)
+        ]
+        return _profiles(~np.array(dominated, dtype=bool), table.n)
+    return _profiles(_pareto_mask(grid, table.n), table.n)
 
 
 # ---------------------------------------------------------------------------
@@ -324,34 +308,10 @@ def enumerate_pareto(
 def nash_interval(
     table: PayoffTable, code: int, penalty: Fraction = Fraction(0)
 ) -> tuple[Fraction, Fraction] | None:
-    """Closed interval of r = v0/v1 in [0, 1] on which ``code`` is Nash."""
-    n = table.n
-    d = table.scale
-    lo, hi = Fraction(0), Fraction(1)
-    for j in range(n):
-        f = (code >> (2 * (n - 1 - j))) & 3
-        step = _mutation_step(n, j)
-        anchor = code - f * step
-        for g in range(LOCAL_FN_COUNT):
-            if g == f:
-                continue
-            dev = anchor + g * step
-            # utility difference (dev - base) = a*r + b must stay <= 0
-            a = Fraction(int(table.win0[dev, j] - table.win0[code, j]), d) - penalty * Fraction(
-                int(table.lose0[dev, j] - table.lose0[code, j]), d
-            )
-            b = Fraction(int(table.win1[dev, j] - table.win1[code, j]), d) - penalty * Fraction(
-                int(table.lose1[dev, j] - table.lose1[code, j]), d
-            )
-            if a > 0:
-                hi = min(hi, -b / a)
-            elif a < 0:
-                lo = max(lo, -b / a)
-            elif b > 0:
-                return None
-            if lo > hi:
-                return None
-    return lo, hi
+    """Closed interval of r = v0/v1 in [0, 1] on which ``code`` is Nash.
+
+    Runs the whole ``ratio_regimes`` pass; for many profiles use its result."""
+    return ratio_regimes(table.game, penalty, table).intervals.get(code)
 
 
 @dataclass(frozen=True)
@@ -382,25 +342,70 @@ def ratio_regimes(
 
     Profiles are Nash on closed intervals, so the equilibrium set at a
     breakpoint is the union of the sets on the two adjacent open intervals.
+
+    A deviation changes the deviator's utility by (a*r + b) / (pd * scale)
+    for integers a, b, where penalty = pn/pd; it bounds r by -b/a.  Each
+    bound is reduced to lowest terms, the few distinct ones are sorted once
+    as Fractions, and every interval is computed as an integer max/min over
+    their ranks.  Python integers replace int64 when a key could overflow.
     """
     table = table or PayoffTable(game)
-    intervals: dict[int, tuple[Fraction, Fraction]] = {}
-    for code in range(table.ncodes):
-        span = nash_interval(table, code, penalty)
-        if span is not None:
-            intervals[code] = span
-    points = sorted(
-        {x for lo, hi in intervals.values() for x in (lo, hi) if Fraction(0) < x < Fraction(1)}
+    n = table.n
+    penalty = Fraction(penalty)
+    pn, pd = penalty.numerator, penalty.denominator
+    # every a, b and reduced numerator or denominator lies in [-cap, cap]
+    cap = (pd + abs(pn)) * table.scale
+    keyed = cap + 1
+    dtype = np.int64 if (keyed + 1) ** 2 < 2**62 else object
+    win0, win1, lose0, lose1 = (
+        c.astype(dtype, copy=False) for c in (table.win0, table.win1, table.lose0, table.lose1)
     )
-    cuts = [Fraction(0)] + points + [Fraction(1)]
-    segments = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        codes = tuple(c for c, (lo, hi) in sorted(intervals.items()) if lo <= a and hi >= b)
-        segments.append(RegimeSegment(a, b, codes))
-    at_points = {
-        r: tuple(c for c, (lo, hi) in sorted(intervals.items()) if lo <= r <= hi) for r in points
+    slope, offset = pd * win0 - pn * lose0, pd * win1 - pn * lose1
+
+    def bounds_of(j):
+        """a and b of player j's deviations, where a != 0, and there the key
+        num * keyed + den of -b/a in lowest terms (one-to-one, as den < keyed)."""
+        a, b = _deviation_gains(slope, n, j), _deviation_gains(offset, n, j)
+        sloped = a != 0
+        a_s, b_s = a[sloped], b[sloped]
+        num, den = np.where(a_s > 0, -b_s, b_s), np.abs(a_s)
+        common = np.gcd(num, den)
+        return a, b, sloped, num // common * keyed + den // common
+
+    # one player at a time, so memory stays at one player's deviations;
+    # keys 1 and keyed + 1 are the ends 0/1 and 1/1 of the ratio range
+    ends = np.array([1, keyed + 1], dtype=slope.dtype)
+    distinct = np.unique(np.concatenate([np.unique(bounds_of(j)[3]) for j in range(n)] + [ends]))
+    values = np.array([Fraction(k // keyed, k % keyed) for k in distinct.tolist()], dtype=object)
+    order = np.argsort(values)
+    bounds = values[order].tolist()
+    rank_of = np.argsort(order)
+    zero, one = rank_of[np.searchsorted(distinct, ends)].tolist()
+    lo = np.full(table.ncodes, zero)
+    hi = np.full(table.ncodes, one)
+    blocked = np.zeros(table.ncodes, dtype=bool)
+    for j in range(n):
+        a, b, sloped, keys = bounds_of(j)
+        rank = np.zeros(a.shape, dtype=np.int64)
+        rank[sloped] = rank_of[np.searchsorted(distinct, keys)]
+        np.maximum(lo, np.where(a < 0, rank, zero).max(axis=0), out=lo)
+        np.minimum(hi, np.where(a > 0, rank, one).min(axis=0), out=hi)
+        blocked |= (~sloped & (b > 0)).any(axis=0)
+    codes = np.flatnonzero(~blocked & (lo <= hi))
+    lo, hi = lo[codes], hi[codes]
+    spans = {}  # the few distinct intervals are shared between profiles
+    intervals = {
+        c: spans.setdefault((x, y), (bounds[x], bounds[y]))
+        for c, x, y in zip(codes.tolist(), lo.tolist(), hi.tolist())
     }
-    return RegimeAnalysis(tuple(points), tuple(segments), at_points, intervals)
+    inner = sorted((set(lo.tolist()) | set(hi.tolist())) - {zero, one})
+    cuts = [zero] + inner + [one]
+    segments = tuple(
+        RegimeSegment(bounds[x], bounds[y], tuple(codes[(lo <= x) & (hi >= y)].tolist()))
+        for x, y in zip(cuts[:-1], cuts[1:])
+    )
+    at_points = {bounds[x]: tuple(codes[(lo <= x) & (hi >= x)].tolist()) for x in inner}
+    return RegimeAnalysis(tuple(bounds[x] for x in inner), segments, at_points, intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +491,14 @@ class Orbit:
 
 def partition_orbits(profiles, group: SymmetryGroup) -> list[Orbit]:
     """Partition ``profiles`` into classes under the group action."""
-    pool = {tuple(p) for p in profiles}
+    # members are the caller's own tuples, not the permuted copies
+    pool = {p: p for p in map(tuple, profiles)}
     orbits = []
     seen: set[tuple[int, ...]] = set()
     for p in sorted(pool):
         if p in seen:
             continue
-        members = sorted({g_p for perm in group.permutations if (g_p := group.apply(perm, p)) in pool})
+        members = sorted({pool[g_p] for perm in group.permutations if (g_p := group.apply(perm, p)) in pool})
         seen.update(members)
         orbits.append(Orbit(members[0], tuple(members)))
     return orbits
@@ -502,7 +508,7 @@ def partition_orbits(profiles, group: SymmetryGroup) -> list[Orbit]:
 # reports
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquilibriumEntry:
     profile: tuple[int, ...]
     payoffs: tuple[LinearPayoff, ...]

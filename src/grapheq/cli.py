@@ -20,6 +20,7 @@ from .classical import (
     PayoffTable,
     build_report,
     best_csw,
+    code_to_profile,
     enumerate_nash,
     enumerate_pareto,
     ratio_regimes,
@@ -45,6 +46,7 @@ from .quantum import (
 )
 
 INPUT_EXIT = 3  # argparse itself exits 2 on usage errors
+THREADS_HELP = "accepted and ignored (default: GRAPHEQ_THREADS, else 1); every scan runs in one process"
 
 
 def _load_game(selector: str) -> tuple[GameSpec, PayoffParams | None]:
@@ -207,9 +209,9 @@ def _cmd_equilibria(args, criterion: str) -> int:
     params = _params_from_args(args, file_params)
     table = PayoffTable(game)
     if criterion == "nash":
-        profiles = enumerate_nash(game, params, threads=args.threads, table=table)
+        profiles = enumerate_nash(game, params, table=table)
     else:
-        profiles = enumerate_pareto(game, params, threads=args.threads, table=table)
+        profiles = enumerate_pareto(game, params, table=table)
     report = build_report(game, profiles, criterion, params=params, table=table)
     _emit(args, report, game.n)
     return 0
@@ -250,7 +252,7 @@ def _cmd_regimes(args) -> int:
         "atBreakpoints": {},
     }
     for seg in analysis.segments:
-        profiles = [tuple((c >> (2 * (game.n - 1 - j))) & 3 for j in range(game.n)) for c in seg.codes]
+        profiles = [code_to_profile(c, game.n) for c in seg.codes]
         report = build_report(game, profiles, "nash", regime=(seg.lower, seg.upper), table=table)
         doc["segments"].append(
             {
@@ -422,18 +424,30 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+def _check_threads(flag: int | None) -> None:
+    """The worker count is accepted and ignored, but must name a worker."""
+    source, raw = "--threads", flag
+    if flag is None:
+        source, raw = "GRAPHEQ_THREADS", os.environ.get("GRAPHEQ_THREADS", "1")
+    try:
+        count = int(raw)
+    except ValueError:
+        raise GameError(f"{source} must be an integer, got {raw!r}") from None
+    if count < 1:
+        raise GameError(f"{source} must be at least 1, got {count}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grapheq",
         description="Exact equilibrium analysis of parity games built from graph states.",
     )
-    default_threads = int(os.environ.get("GRAPHEQ_THREADS", "1"))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_params=True):
         p.add_argument("--game", required=True, help="builtin name or path to a game JSON file")
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        p.add_argument("--threads", type=int, default=default_threads)
+        p.add_argument("--threads", type=int, help=THREADS_HELP)
         if with_params:
             p.add_argument("--v0", help='rational "p/q"')
             p.add_argument("--v1", help='rational "p/q"')
@@ -456,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help='target ratio "p/q"')
     p = sub.add_parser("verify", help="run the full verification suite")
     p.add_argument("--game", help="optionally validate a game file first")
-    p.add_argument("--threads", type=int, default=default_threads)
+    p.add_argument("--threads", type=int, help=THREADS_HELP)
     p.add_argument("--checks", help="comma-separated subset of check names to run")
     return parser
 
@@ -477,6 +491,7 @@ def main(argv=None) -> int:
         "verify": lambda: _cmd_verify(args),
     }
     try:
+        _check_threads(args.threads)
         return handlers[args.command]()
     except GameError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classical import LOCAL_FN_COUNT, PayoffTable, _mutation_step, enumerate_nash, profile_to_code
+from .classical import _SWITCHES, PayoffTable, _player_axis, enumerate_nash, profile_to_code
 from .errors import EmptyEquilibriumSetError, LinearProgramError, SizeLimitError
 from .games import GameSpec, PayoffParams
 
@@ -34,19 +34,11 @@ def _obedience_matrix(grid: np.ndarray, n: int) -> np.ndarray:
     """Integer obedience rows, one per (player j, recommended f, alternative
     g != f) in that order: at every profile where j plays f, the utility j
     keeps by not switching to g.  Obedience is ``rows @ x >= 0``."""
-    ncodes = grid.shape[0]
-    codes = np.arange(ncodes)
-    rows = np.zeros((n * LOCAL_FN_COUNT * (LOCAL_FN_COUNT - 1), ncodes), dtype=grid.dtype)
-    r = 0
+    rows = np.zeros((n * len(_SWITCHES), grid.shape[0]), dtype=grid.dtype)
     for j in range(n):
-        step = _mutation_step(n, j)
-        digit = (codes // step) % LOCAL_FN_COUNT
-        for f in range(LOCAL_FN_COUNT):
-            at_f = codes[digit == f]
-            for g in range(LOCAL_FN_COUNT):
-                if g != f:
-                    rows[r, at_f] = grid[at_f, j] - grid[at_f + (g - f) * step, j]
-                    r += 1
+        own = _player_axis(grid[:, j], n, j)
+        for r, (f, g) in enumerate(_SWITCHES, start=j * len(_SWITCHES)):
+            _player_axis(rows[r], n, j)[:, f] = own[:, f] - own[:, g]
     return rows
 
 

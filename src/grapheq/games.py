@@ -274,8 +274,3 @@ def game_from_document(doc: dict) -> tuple[GameSpec, PayoffParams]:
             parity = int(raw["b"])
         questions.append(QuestionSpec(qid, tbits, involved, parity, weight, gen))
     return GameSpec(name, graph, tuple(questions)), params
-
-
-# operation-style aliases for the document round trip
-save_game = game_to_document
-load_game = game_from_document

@@ -1,8 +1,10 @@
 """Shared fixtures for the test suite."""
 
+import functools
+import itertools
 from fractions import Fraction
 
-from grapheq import GameSpec, Graph, QuestionSpec, derive_question
+from grapheq import GameSpec, Graph, QuestionSpec, derive_question, evaluate
 
 
 def toy_two_player_game(w0=Fraction(1, 2), w1=Fraction(1, 2), name="toy"):
@@ -31,3 +33,73 @@ def cycle_game(n):
         bits = tuple(1 if j in gen else 0 for j in range(n))
         questions.append(QuestionSpec(qid, bits, der.involved, der.parity, weight, gen))
     return GameSpec(f"C{n}", graph, tuple(questions))
+
+
+def oracle_nash_interval(table, code, penalty=Fraction(0)):
+    """Closed interval of r = v0/v1 in [0, 1] on which ``code`` is Nash.
+
+    The per-profile Fraction loop the vectorised ``ratio_regimes`` replaced,
+    kept as its independent oracle.
+    """
+    n = table.n
+    d = table.scale
+    lo, hi = Fraction(0), Fraction(1)
+    for j in range(n):
+        f = (code >> (2 * (n - 1 - j))) & 3
+        step = 4 ** (n - 1 - j)
+        anchor = code - f * step
+        for g in range(4):
+            if g == f:
+                continue
+            dev = anchor + g * step
+            # utility difference (dev - base) = a*r + b must stay <= 0
+            a = Fraction(int(table.win0[dev, j] - table.win0[code, j]), d) - penalty * Fraction(
+                int(table.lose0[dev, j] - table.lose0[code, j]), d
+            )
+            b = Fraction(int(table.win1[dev, j] - table.win1[code, j]), d) - penalty * Fraction(
+                int(table.lose1[dev, j] - table.lose1[code, j]), d
+            )
+            if a > 0:
+                hi = min(hi, -b / a)
+            elif a < 0:
+                lo = max(lo, -b / a)
+            elif b > 0:
+                return None
+            if lo > hi:
+                return None
+    return lo, hi
+
+
+@functools.lru_cache(maxsize=None)
+def profile_evaluations(game):
+    """``evaluate`` of every profile of ``game``, by profile tuple."""
+    return {p: evaluate(game, p) for p in itertools.product(range(4), repeat=game.n)}
+
+
+def brute_force_sets(game, params):
+    """Nash, strict Nash and unilateral-Pareto profiles from ``evaluate``.
+
+    Every profile is scored in Fractions and every unilateral deviation is
+    built by replacing one entry of the profile tuple, so nothing here
+    shares code with the vectorised scans.  Lists are in lexicographic order.
+    """
+    n = game.n
+    utils = {p: ev.utilities(params) for p, ev in profile_evaluations(game).items()}
+    sets = {"nash": [], "strict": [], "pareto": []}
+    for p, base in utils.items():
+        gains = [
+            (j, utils[p[:j] + (g,) + p[j + 1 :]])
+            for j in range(n)
+            for g in range(4)
+            if g != p[j]
+        ]
+        if all(dev[j] <= base[j] for j, dev in gains):
+            sets["nash"].append(p)
+        if all(dev[j] < base[j] for j, dev in gains):
+            sets["strict"].append(p)
+        if all(
+            dev[j] <= base[j] or any(dev[k] < base[k] for k in range(n) if k != j)
+            for j, dev in gains
+        ):
+            sets["pareto"].append(p)
+    return sets

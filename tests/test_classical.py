@@ -1,5 +1,6 @@
 """Classical enumeration: evaluation rows, counts, symmetries, regimes."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -17,9 +18,12 @@ from grapheq import (
     ratio_regimes,
     reporting_symmetries,
 )
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
 from grapheq._reference import NC00_NASH_INTERVALS
-from grapheq.classical import PayoffTable, build_report, code_to_profile, nash_interval
-from helpers import toy_two_player_game
+from grapheq.classical import PayoffTable, _player_axis, build_report, code_to_profile, nash_interval
+from helpers import brute_force_sets, cycle_game, oracle_nash_interval, toy_two_player_game
 
 PARAMS = PayoffParams(Fraction(2, 3), Fraction(1))
 THIRD, HALF = Fraction(1, 3), Fraction(1, 2)
@@ -240,16 +244,6 @@ def test_enumeration_order_is_lexicographic():
     assert pareto == sorted(pareto)
 
 
-def test_thread_count_does_not_change_results():
-    game = builtin_game("NC00_C5")
-    one = enumerate_nash(game, PARAMS, threads=1)
-    two = enumerate_nash(game, PARAMS, threads=2)
-    assert one == two
-    p_one = enumerate_pareto(game, PARAMS, threads=1)
-    p_two = enumerate_pareto(game, PARAMS, threads=2)
-    assert p_one == p_two
-
-
 def test_strict_mode_is_a_subset():
     game = builtin_game("NC00_C5")
     weak = set(enumerate_nash(game, PARAMS))
@@ -299,3 +293,58 @@ def test_report_orbit_ids_cover_entries():
     assert sum(len(o.members) for o in report.orbits) == 40
     for entry in report.entries:
         assert entry.profile in report.orbits[entry.orbit_id].members
+
+
+def test_player_axis_is_a_view_with_the_player_digit_on_axis_1():
+    n = 4
+    codes = np.arange(4**n)
+    grid = np.stack([codes * 10 + j for j in range(n)], axis=1)
+    for j in range(n):
+        view = _player_axis(grid[:, j], n, j)
+        assert np.shares_memory(view, grid)
+        digits = _player_axis(codes, n, j)
+        assert all(((digits[:, f] >> (2 * (n - 1 - j))) & 3 == f).all() for f in range(4))
+        assert np.array_equal(view, digits * 10 + j)
+
+
+@functools.lru_cache(maxsize=None)
+def _table(name):
+    game = builtin_game(name) if name.startswith("NC") else cycle_game(int(name[1:]))
+    return game, PayoffTable(game)
+
+
+def _assert_kernel_matches_oracles(game, table, params):
+    sets = brute_force_sets(game, params)
+    assert enumerate_nash(game, params, table=table) == sets["nash"]
+    assert enumerate_nash(game, params, strict=True, table=table) == sets["strict"]
+    assert enumerate_pareto(game, params, table=table) == sets["pareto"]
+    regimes = ratio_regimes(game, params.penalty, table)
+    oracle = {
+        c: span
+        for c in range(table.ncodes)
+        if (span := oracle_nash_interval(table, c, params.penalty)) is not None
+    }
+    assert regimes.intervals == oracle
+    on = sorted(code_to_profile(c, game.n) for c, (lo, hi) in oracle.items() if lo <= params.ratio <= hi)
+    assert on == sets["nash"]
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(["NC00_C5", "NC01_C5", "NC000_C5", "NC00010_C5", "C4", "C5", "C6"]),
+    ratio=st.integers(1, 12).flatmap(lambda q: st.integers(1, q).map(lambda p: Fraction(p, q))),
+    penalty=st.fractions(min_value=0, max_value=6, max_denominator=7),
+)
+def test_kernel_matches_brute_force_and_interval_oracle(name, ratio, penalty):
+    game, table = _table(name)
+    _assert_kernel_matches_oracles(game, table, PayoffParams(ratio, Fraction(1), penalty))
+
+
+def test_overflow_scale_matches_brute_force_and_interval_oracle():
+    # denominators near 2^41 and 7^19 push the utility grid and the regime
+    # keys past int64, so both scans must run on Python integers
+    game, table = _table("NC00_C5")
+    params = PayoffParams(Fraction(2**40 - 1, 2**41 + 1), Fraction(1), Fraction(3**20, 7**19))
+    grid, _ = table.utility_grid(params)
+    assert grid.dtype == object
+    _assert_kernel_matches_oracles(game, table, params)

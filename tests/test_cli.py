@@ -87,6 +87,38 @@ def test_kfold_rejects_k_below_one():
         assert err.startswith("error: --k must be at least 1")
 
 
+NASH_ARGS = ("nash", "--game", "NC00_C5", "--v0", "2/3", "--v1", "1")
+
+
+def test_threads_is_accepted_and_ignored(monkeypatch):
+    plain = run_cli(*NASH_ARGS)
+    assert plain[0] == 0
+    assert run_cli(*NASH_ARGS, "--threads", "2") == plain
+    monkeypatch.setenv("GRAPHEQ_THREADS", "4")
+    assert run_cli(*NASH_ARGS) == plain
+
+
+def test_threads_below_one_exit_3():
+    for count in ("0", "-3"):
+        for argv in (NASH_ARGS, ("verify", "--checks", "nash-counts")):
+            code, out, err = run_cli(*argv, "--threads", count)
+            assert (code, out) == (3, "")
+            assert err == f"error: --threads must be at least 1, got {count}\n"
+
+
+def test_threads_env_must_be_a_positive_integer(monkeypatch):
+    for raw in ("abc", "2.5", ""):
+        monkeypatch.setenv("GRAPHEQ_THREADS", raw)
+        code, out, err = run_cli(*NASH_ARGS)
+        assert (code, out) == (3, "")
+        assert err == f"error: GRAPHEQ_THREADS must be an integer, got {raw!r}\n"
+    monkeypatch.setenv("GRAPHEQ_THREADS", "0")
+    assert run_cli(*NASH_ARGS)[0] == 3
+    # an explicit flag overrides the environment
+    monkeypatch.setenv("GRAPHEQ_THREADS", "abc")
+    assert run_cli(*NASH_ARGS, "--threads", "1")[0] == 0
+
+
 def test_players_needed_json():
     code, out, _ = run_cli(
         "players-needed", "--game", "NC00_C5", "--v0", "2/3", "--v1", "1", "--eps", "1/100"

@@ -18,7 +18,6 @@ from grapheq import correlated
 from grapheq.classical import (
     LOCAL_FN_COUNT,
     PayoffTable,
-    _mutation_step,
     enumerate_nash,
     profile_to_code,
 )
@@ -35,7 +34,7 @@ def obedience_violations(game, params, dist):
     n = game.n
     bad = []
     for j in range(n):
-        step = _mutation_step(n, j)
+        step = 4 ** (n - 1 - j)
         for f in range(LOCAL_FN_COUNT):
             for g in range(LOCAL_FN_COUNT):
                 if g == f:
@@ -137,7 +136,7 @@ def obedience_rows_reference(table, params):
     n = table.n
     rows = []
     for j in range(n):
-        step = _mutation_step(n, j)
+        step = 4 ** (n - 1 - j)
         for f in range(LOCAL_FN_COUNT):
             for g in range(LOCAL_FN_COUNT):
                 if g == f:
