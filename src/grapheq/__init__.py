@@ -75,8 +75,10 @@ from .games import (
 from .quantum import (
     AdviceCorrelation,
     DEVIATION_POLICIES,
+    DeviationTable,
     advice_correlation,
     deviation_payoff_coefficients,
+    deviation_table,
     is_quantum_nash,
     p_involved_given_advice,
     quantum_player_utilities,

@@ -18,6 +18,7 @@ import numpy as np
 from . import _reference as ref
 from .amplification import (
     GroupTable,
+    _product_perfect_win_enumerated,
     kfold,
     kfold_best_csw,
     kfold_bruteforce_csw,
@@ -39,9 +40,8 @@ from .classical import (
 )
 from .games import PayoffParams, builtin_game
 from .quantum import (
-    DEVIATION_POLICIES,
     advice_correlation,
-    deviation_payoff_coefficients,
+    deviation_table,
     quantum_player_utilities,
     quantum_threshold,
     qsw,
@@ -268,16 +268,11 @@ def check_quantum_thresholds() -> CheckResult:
         if name in ref.QUANTUM_THRESHOLDS and thr.p != ref.QUANTUM_THRESHOLDS[name]:
             problems.append(f"{name}: p {thr.p} != {ref.QUANTUM_THRESHOLDS[name]}")
         details.append(f"{name}: p={thr.p}")
-        advice = advice_correlation(game)
-        coeff = [
-            deviation_payoff_coefficients(game, advice, player, policy)
-            for player in range(game.n)
-            for policy in DEVIATION_POLICIES
-        ]
+        table = deviation_table(game)
         for i in range(101):
             r = Fraction(i, 100)
             threshold_says = r >= thr.bound
-            exhaustive_says = all(c0 * r + c1 <= (r + 1) / 2 for c0, c1 in coeff)
+            exhaustive_says = table.advice_is_nash(r, 1)
             if threshold_says != exhaustive_says:
                 problems.append(f"{name}: disagreement at r={r}")
                 break
@@ -332,7 +327,11 @@ def check_kfold_agreement() -> CheckResult:
     bf = kfold_bruteforce_csw(game, 2, STANDARD_PARAMS, gt=gt)
     if dec.csw != bf.csw:
         problems.append(f"best CSW {dec.csw} (decomposition) != {bf.csw} (brute force)")
-    if not verify_product_perfect_win(kfold(game, 2)):
+    product = kfold(game, 2)
+    factorised = verify_product_perfect_win(product)
+    if factorised != _product_perfect_win_enumerated(product):
+        problems.append("factorised and enumerated product perfect-win checks disagree")
+    if not factorised:
         problems.append("advice does not win the 10-qubit product surely")
     csw = [kfold_best_csw(game, k, STANDARD_PARAMS, gt=gt, _with_decay=False).csw for k in (1, 2, 3, 4)]
     decays = [csw[i + 1] / csw[i] for i in range(3)]

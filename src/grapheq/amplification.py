@@ -6,7 +6,15 @@ repetition runs k groups in parallel on disjoint copies of the graph and
 pays only when every group wins; product-profile utilities factor exactly as
 (own-group winning utility) times (other groups' win probabilities), which
 drives both the fast decomposition search and the brute-force oracle it is
-checked against.
+checked against.  The decomposition ranks combinations of base profiles in
+integers over the ``GroupTable`` scales and builds one Fraction per answer.
+
+The quantum side factorises the same way: the graph state on a disjoint
+union is the tensor product of the per-group states (stabilizers are local
+to connected components), so the advice wins every joint question surely iff
+it wins every base question surely.  That check costs one outcome law per
+base question at any k; the walk over all questions^k joint questions on the
+union graph is kept, for k <= 4, as its oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from .classical import (
     enumerate_nash,
     profile_to_code,
 )
-from .errors import EmptyEquilibriumSetError, SizeLimitError
+from .errors import EmptyEquilibriumSetError, SizeLimitError, UnsupportedGameError
 from .games import GameSpec, PayoffParams
 from .quantum import bases_for_types, qsw
 from .stabilizer import Graph, outcome_law
@@ -152,7 +160,8 @@ class GroupTable:
 
     For every base profile: the winning-part utility of each player, their
     sum, the win probability, and whether the profile is Nash in the base
-    game.  All values exact.
+    game.  All values exact: the utility arrays hold Python integers when a
+    player sum could overflow int64.
     """
 
     def __init__(self, game: GameSpec, params: PayoffParams, table: PayoffTable | None = None):
@@ -165,7 +174,10 @@ class GroupTable:
         lden = math.lcm(params.v0.denominator, params.v1.denominator)
         a0 = int(params.v0 * lden)
         a1 = int(params.v1 * lden)
-        self.win_util_num = tbl.win0 * a0 + tbl.win1 * a1  # scale: tbl.scale * lden
+        # win0 + win1 <= scale per entry, so the player sum stays below this
+        dtype = np.int64 if tbl.n * tbl.scale * (a0 + a1) < 2**62 else object
+        win0, win1 = (c.astype(dtype, copy=False) for c in (tbl.win0, tbl.win1))
+        self.win_util_num = win0 * a0 + win1 * a1  # scale: tbl.scale * lden
         self.util_scale = tbl.scale * lden
         self.pwin_num = tbl.pwin_num  # scale: tbl.scale
         self.pwin_scale = tbl.scale
@@ -251,7 +263,10 @@ def kfold_bruteforce_csw(
     if not nash.any():
         raise EmptyEquilibriumSetError("no product Nash profile")
     # SW(a,b) = sumU[a]*pwin[b] + sumU[b]*pwin[a], exact integers
-    cross = np.outer(gt.sum_util_num, gt.pwin_num)
+    sum_u, pw = gt.sum_util_num, gt.pwin_num
+    if 2 * int(np.abs(sum_u).max(initial=0)) * int(pw.max(initial=0)) >= 2**62:
+        sum_u, pw = sum_u.astype(object), pw.astype(object)
+    cross = np.outer(sum_u, pw)
     sw_scaled = cross + cross.T
     best = int(sw_scaled[nash].max())
     csw = Fraction(best, gt.util_scale * gt.pwin_scale * 2 * game.n)
@@ -260,22 +275,45 @@ def kfold_bruteforce_csw(
     )
 
 
-def _candidate_frontier(gt: GroupTable) -> list[tuple[Fraction, Fraction]]:
-    """Distinct (p_win, summed winning utility) pairs of Nash profiles,
+def _candidate_frontier(gt: GroupTable) -> list[tuple[int, int]]:
+    """Distinct (pwin_num, sum_util_num) integer pairs of Nash profiles,
     restricted to positive win probability and pruned to the coordinatewise
     frontier.  The product objective is weakly increasing in both
     coordinates of every group, so dominated pairs never help.
+
+    Sorted by descending win probability, a pair is on the frontier iff its
+    utility beats every pair before it.  Returned in ascending order.
     """
-    values = {
-        (gt.p_win(int(c)), gt.sum_win_util(int(c)))
-        for c in np.nonzero(gt.nash & ~gt.zero_pwin)[0]
-    }
-    frontier = [
-        v
-        for v in values
-        if not any(o != v and o[0] >= v[0] and o[1] >= v[1] for o in values)
-    ]
-    return sorted(frontier)
+    positive = gt.nash & ~gt.zero_pwin
+    values = set(zip(gt.pwin_num[positive].tolist(), gt.sum_util_num[positive].tolist()))
+    frontier = []
+    for w, u in sorted(values, reverse=True):
+        if not frontier or u > frontier[-1][1]:
+            frontier.append((w, u))
+    return frontier[::-1]
+
+
+def _frontier_csw(gt: GroupTable, frontier: list[tuple[int, int]], k: int) -> Fraction:
+    """Best product-Nash social welfare of k groups over ``frontier``.
+
+    Each combination is ranked by the integer sum over groups g of
+    u_g * prod_{h != g} w_h, on the scale util_scale * pwin_scale^(k-1);
+    one Fraction is built for the winner.
+    """
+    best = None
+    for combo in itertools.combinations_with_replacement(frontier, k):
+        # running (prod w, sum_g u_g prod_{h != g} w_h) over the groups seen
+        wprod, total = 1, 0
+        for w, u in combo:
+            wprod, total = wprod * w, total * w + u * wprod
+        if best is None or total > best:
+            best = total
+    if k >= 2 and gt.zero_pwin.any():
+        best = max(best, 0) if best is not None else 0
+    if best is None:
+        raise EmptyEquilibriumSetError("no product Nash configuration")
+    n = gt.game.n
+    return Fraction(best, gt.util_scale * gt.pwin_scale ** (k - 1) * k * n)
 
 
 def kfold_best_csw(
@@ -283,7 +321,6 @@ def kfold_best_csw(
     k: int,
     params: PayoffParams,
     *,
-    prune_zero_factor: bool = True,
     gt: GroupTable | None = None,
     _with_decay: bool = True,
 ) -> KfoldReport:
@@ -296,47 +333,53 @@ def kfold_best_csw(
     winning utility is 0 and its factor kills every other term.
     """
     gt = gt or GroupTable(game, params)
-    n = game.n
     frontier = _candidate_frontier(gt)
-    zero_exists = k >= 2 and bool(gt.zero_pwin.any())
-    best: Fraction | None = None
-    for combo in itertools.combinations_with_replacement(frontier, k):
-        pwins = [c[0] for c in combo]
-        total = Fraction(0)
-        for g in range(k):
-            others = math.prod((pwins[h] for h in range(k) if h != g), start=Fraction(1))
-            total += combo[g][1] * others
-        sw = total / (k * n)
-        if best is None or sw > best:
-            best = sw
-    if not prune_zero_factor and k == 2:
-        # verification mode: walk the zero-factor pairs and confirm they
-        # contribute social welfare 0
-        rule = product_nash_matrix_decomposition(gt)
-        zero_side = gt.zero_pwin[:, None] | gt.zero_pwin[None, :]
-        cross = np.outer(gt.sum_util_num, gt.pwin_num)
-        sw_scaled = cross + cross.T
-        assert not np.any(sw_scaled[rule & zero_side] != 0)
-    if zero_exists:
-        best = max(best, Fraction(0)) if best is not None else Fraction(0)
-    if best is None:
-        raise EmptyEquilibriumSetError("no product Nash configuration")
+    best = _frontier_csw(gt, frontier, k)
     decay = None
     if k >= 2 and _with_decay:
-        prev = kfold_best_csw(game, k - 1, params, gt=gt, _with_decay=False)
-        if prev.csw != 0:
-            decay = best / prev.csw
+        prev = _frontier_csw(gt, frontier, k - 1)
+        if prev != 0:
+            decay = best / prev
     return KfoldReport(k, best, qsw(params), best / qsw(params), "decomposition", decay)
+
+
+def _groups_are_base_copies(product: ProductGameSpec) -> bool:
+    """Every edge of the product graph joins two vertices of one group, and
+    each group's edges are those of the base graph."""
+    n = product.base.n
+    per_group: list[set[tuple[int, int]]] = [set() for _ in range(product.k)]
+    for u, v in product.graph.edges:
+        if u // n != v // n:
+            return False
+        per_group[u // n].add((u % n, v % n))
+    return all(edges == product.base.graph.edges for edges in per_group)
 
 
 def verify_product_perfect_win(product: ProductGameSpec) -> bool:
     """Advice on the disjoint-union graph wins every joint question surely.
 
-    Builds the exact measurement law per joint question on the union graph
-    and checks each group's parity constraint holds with probability 1.
+    With no edge between groups, the graph state is the tensor product of
+    the group states, so a joint question's answer law is the product of the
+    base laws of its parts and each group's parity depends on its own part
+    only.  Every joint question is then won surely iff every base question
+    is: one exact outcome law per base question decides it, at any k.
     """
+    if not _groups_are_base_copies(product):
+        raise UnsupportedGameError("product graph is not a disjoint union of base copies")
+    base = product.base
+    for q in base.questions:
+        law = outcome_law(base.graph, bases_for_types(q.type_bits))
+        if law.parity_distribution(q.involved).get(q.parity, Fraction(0)) != 1:
+            return False
+    return True
+
+
+def _product_perfect_win_enumerated(product: ProductGameSpec) -> bool:
+    """Oracle for ``verify_product_perfect_win``: builds the exact law of
+    every joint question on the union graph and checks each group's parity
+    constraint holds with probability 1.  No factorisation assumed."""
     if product.k > 4:
-        raise SizeLimitError("product perfect-win check limited to k <= 4")
+        raise SizeLimitError("enumerated product perfect-win check limited to k <= 4")
     n = product.base.n
     graph = product.graph
     for joint in product.joint_questions():
@@ -373,11 +416,12 @@ def players_needed(game: GameSpec, params: PayoffParams, eps) -> PlayersNeeded:
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     gt = GroupTable(game, params)
-    c1 = kfold_best_csw(game, 1, params, gt=gt).csw
+    frontier = _candidate_frontier(gt)
+    c1 = _frontier_csw(gt, frontier, 1)
     if c1 <= 0:
         raise EmptyEquilibriumSetError("base classical social welfare must be positive")
-    c2 = kfold_best_csw(game, 2, params, gt=gt, _with_decay=False).csw
-    c3 = kfold_best_csw(game, 3, params, gt=gt, _with_decay=False).csw
+    c2 = _frontier_csw(gt, frontier, 2)
+    c3 = _frontier_csw(gt, frontier, 3)
     decay = c2 / c1
     geometric = c3 * c1 == c2 * c2
     q = qsw(params)
@@ -394,5 +438,5 @@ def players_needed(game: GameSpec, params: PayoffParams, eps) -> PlayersNeeded:
             k += 1
             if k > 200:
                 raise SizeLimitError("no k <= 200 reaches the requested ratio")
-            ratio = kfold_best_csw(game, k, params, gt=gt, _with_decay=False).csw / q
+            ratio = _frontier_csw(gt, frontier, k) / q
     return PlayersNeeded(k, k * game.n, ratio, c1 / q, decay, geometric)

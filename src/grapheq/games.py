@@ -87,7 +87,12 @@ class GameSpec:
         n = self.graph.n
         total = Fraction(0)
         seen: set[tuple[tuple[int, ...], frozenset[int]]] = set()
+        ids: set[str] = set()
         for q in self.questions:
+            # advice laws and deviation tables are keyed by question id
+            if q.qid in ids:
+                raise MalformedDocumentError(f"{q.qid}: duplicate question id")
+            ids.add(q.qid)
             if len(q.type_bits) != n:
                 raise MalformedDocumentError(f"{q.qid}: type vector length != {n}")
             if any(b not in (0, 1) for b in q.type_bits):

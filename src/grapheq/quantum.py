@@ -6,11 +6,18 @@ module certifies the win-with-probability-1 property, uniform marginals and
 restricted belief invariance, and decides when following the advice is a
 Nash equilibrium, both via the involvement threshold and via an exhaustive
 scan over local post-processing deviations.
+
+The exhaustive scan runs on one deviation table per game: for every player
+and question, the exact law of (own advice bit, parity of the other involved
+players) is built once, and the payoff coefficients (c0, c1) of all 16
+policies follow from these laws as integers over one common scale, so every
+comparison against (v0+v1)/2 is an integer comparison.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,8 +156,90 @@ DEVIATION_POLICIES: tuple[tuple[int, int, int, int], ...] = tuple(
 )
 
 
-def _policy_answer(policy, type_bit: int, advice_bit: int) -> int:
-    return policy[(type_bit << 1) | advice_bit]
+def _policy_index(policy) -> int:
+    """Position of ``policy`` in ``DEVIATION_POLICIES``."""
+    try:
+        return DEVIATION_POLICIES.index(tuple(policy))
+    except ValueError:
+        raise ValueError(f"policy must be four 0/1 answers, got {policy!r}") from None
+
+
+def _deviation_row(
+    game: GameSpec, advice: AdviceCorrelation, player: int, weight_scale: int
+) -> tuple[tuple[int, int], ...]:
+    """(c0, c1) of every policy for one deviator, times 4 * ``weight_scale``.
+
+    The law of (own advice bit, parity of the other involved players) is
+    built once per question.  From it, ``won[t][a][x]`` collects the mass of
+    rounds with own type t and advice bit a that answer x wins; a policy
+    picks one answer x per (t, a) and earns won[t][a][x] towards c_x.  A law
+    of two bits has probabilities in {1, 1/2, 1/4}, hence the factor 4.
+    """
+    won = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    for q in game.questions:
+        t = q.type_bits[player]
+        own = player in q.involved
+        rows = np.zeros((2, game.n), dtype=np.uint8)
+        rows[0, player] = 1
+        for r in q.involved - {player}:
+            rows[1, r] = 1
+        weight = q.weight.numerator * (weight_scale // q.weight.denominator)
+        joint = advice.law(q.qid).linear_image_distribution(rows)
+        for (advice_bit, rest_parity), prob in joint.items():
+            mass = weight * int(prob * 4)
+            for answer in (0, 1):
+                if (rest_parity + (answer if own else 0)) % 2 == q.parity:
+                    won[t][advice_bit][answer] += mass
+    row = []
+    for policy in DEVIATION_POLICIES:
+        c = [0, 0]
+        for t in (0, 1):
+            for a in (0, 1):
+                x = policy[(t << 1) | a]
+                c[x] += won[t][a][x]
+        row.append((c[0], c[1]))
+    return tuple(row)
+
+
+def _weight_scale(game: GameSpec) -> int:
+    return math.lcm(*(q.weight.denominator for q in game.questions))
+
+
+@dataclass(frozen=True)
+class DeviationTable:
+    """Payoff coefficients of all 16 post-processing policies per player.
+
+    ``rows[player][i]`` is (c0, c1) of ``DEVIATION_POLICIES[i]`` times
+    ``scale``: a deviator who rewrites their advice bit through the policy,
+    while everyone else follows the advice, earns (c0*v0 + c1*v1) / scale.
+    """
+
+    scale: int
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+
+    def coefficients(self, player: int, policy) -> tuple[Fraction, Fraction]:
+        c0, c1 = self.rows[player][_policy_index(policy)]
+        return Fraction(c0, self.scale), Fraction(c1, self.scale)
+
+    def advice_is_nash(self, v0, v1) -> bool:
+        """No policy of any player beats following the advice, (v0+v1)/2.
+
+        Compared in integers: 2*(c0*a0 + c1*a1) <= scale*(a0 + a1), with
+        v0 and v1 brought over a common denominator as a0 and a1.
+        """
+        v0, v1 = Fraction(v0), Fraction(v1)
+        den = math.lcm(v0.denominator, v1.denominator)
+        a0, a1 = int(v0 * den), int(v1 * den)
+        bar = self.scale * (a0 + a1)
+        return all(2 * (c0 * a0 + c1 * a1) <= bar for row in self.rows for c0, c1 in row)
+
+
+def deviation_table(game: GameSpec, advice: AdviceCorrelation | None = None) -> DeviationTable:
+    """The deviation table of ``game``: n * questions law queries in all."""
+    advice = advice or advice_correlation(game)
+    weight_scale = _weight_scale(game)
+    rows = tuple(_deviation_row(game, advice, j, weight_scale) for j in range(game.n))
+    return DeviationTable(4 * weight_scale, rows)
 
 
 def deviation_payoff_coefficients(
@@ -159,30 +248,14 @@ def deviation_payoff_coefficients(
     """Expected utility (c0, c1) with u = c0*v0 + c1*v1 for one deviator.
 
     The deviator rewrites their advice bit through ``policy``; everyone else
-    answers as advised.  Win bits are recomputed exactly from the joint law
-    of (own advice, parity of the other involved players).
+    answers as advised.  A lookup into the deviator's row of the deviation
+    table, built from the joint law of (own advice, parity of the other
+    involved players).
     """
-    c0 = Fraction(0)
-    c1 = Fraction(0)
-    for q in game.questions:
-        law = advice.law(q.qid)
-        t = q.type_bits[player]
-        rest = q.involved - {player}
-        rows = np.zeros((2, game.n), dtype=np.uint8)
-        rows[0, player] = 1
-        for r in rest:
-            rows[1, r] = 1
-        joint = law.linear_image_distribution(rows)
-        for (advice_bit, rest_parity), prob in joint.items():
-            answer = _policy_answer(policy, t, advice_bit)
-            own_term = answer if player in q.involved else 0
-            win = (rest_parity + own_term) % 2 == q.parity
-            if win:
-                if answer:
-                    c1 += q.weight * prob
-                else:
-                    c0 += q.weight * prob
-    return c0, c1
+    index = _policy_index(policy)
+    weight_scale = _weight_scale(game)
+    c0, c1 = _deviation_row(game, advice, player, weight_scale)[index]
+    return Fraction(c0, 4 * weight_scale), Fraction(c1, 4 * weight_scale)
 
 
 def is_quantum_nash(game: GameSpec, params: PayoffParams, method: str = "both") -> bool:
@@ -190,7 +263,8 @@ def is_quantum_nash(game: GameSpec, params: PayoffParams, method: str = "both") 
 
     method "threshold" uses the involvement bound; "exhaustive" scans all 16
     post-processing policies for every player against the equilibrium
-    utility (v0+v1)/2.  "both" runs the two and insists they agree.
+    utility (v0+v1)/2, in integers over the deviation table.  "both" runs
+    the two and insists they agree.
     """
     if params.penalty != 0:
         raise ValueError("equilibrium test applies to the base game (penalty 0)")
@@ -198,18 +272,7 @@ def is_quantum_nash(game: GameSpec, params: PayoffParams, method: str = "both") 
     if method in ("threshold", "both"):
         results["threshold"] = quantum_threshold(game).holds_at(params)
     if method in ("exhaustive", "both"):
-        advice = advice_correlation(game)
-        baseline = qsw(params)
-        ok = True
-        for player in range(game.n):
-            for policy in DEVIATION_POLICIES:
-                c0, c1 = deviation_payoff_coefficients(game, advice, player, policy)
-                if c0 * params.v0 + c1 * params.v1 > baseline:
-                    ok = False
-                    break
-            if not ok:
-                break
-        results["exhaustive"] = ok
+        results["exhaustive"] = deviation_table(game).advice_is_nash(params.v0, params.v1)
     if method == "both" and results["threshold"] != results["exhaustive"]:
         raise RuntimeError(f"threshold and exhaustive deviation tests disagree: {results}")
     if method not in ("threshold", "exhaustive", "both"):

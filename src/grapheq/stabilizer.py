@@ -164,6 +164,13 @@ class OutcomeLaw:
     def support_size(self) -> int:
         return 2 ** (self.n - self.rank)
 
+    def _particular(self) -> np.ndarray:
+        """One answer vector of the law's support."""
+        particular = gf2.solve(self.matrix, self.rhs)
+        if particular is None:
+            raise InconsistentLawError("parity constraints are inconsistent")
+        return particular
+
     def probability_of(self, answer) -> Fraction:
         """Exact probability of a full answer vector."""
         a = np.asarray(list(answer), dtype=np.uint8) & 1
@@ -181,8 +188,7 @@ class OutcomeLaw:
         so the result is uniform over a coset enumerated exactly.
         """
         lmat = gf2.as_matrix(functional_rows, self.n)
-        particular = gf2.solve(self.matrix, self.rhs)
-        assert particular is not None  # construction guarantees consistency
+        particular = self._particular()
         base = tuple(int(b) for b in (lmat @ particular) & 1)
         images = (gf2.nullspace(self.matrix) @ lmat.T) & 1
         span, pivots = gf2.rref(images)
@@ -219,8 +225,7 @@ class OutcomeLaw:
         dim = self.n - self.rank
         if dim > 24:
             raise ValueError("support too large to enumerate")
-        particular = gf2.solve(self.matrix, self.rhs)
-        assert particular is not None
+        particular = self._particular()
         basis = gf2.nullspace(self.matrix)
         for combo in itertools.product((0, 1), repeat=dim):
             point = particular.copy()
@@ -231,9 +236,7 @@ class OutcomeLaw:
 
     def sample(self, rng) -> tuple[int, ...]:
         """Draw one answer vector.  Demo helper; analyses never sample."""
-        particular = gf2.solve(self.matrix, self.rhs)
-        assert particular is not None
-        point = particular.copy()
+        point = self._particular().copy()
         for row in gf2.nullspace(self.matrix):
             if rng.random() < 0.5:
                 point ^= row

@@ -2,7 +2,10 @@
 
 import functools
 import itertools
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from grapheq import GameSpec, Graph, QuestionSpec, derive_question, evaluate
 
@@ -103,3 +106,63 @@ def brute_force_sets(game, params):
         ):
             sets["pareto"].append(p)
     return sets
+
+
+def oracle_deviation_payoff_coefficients(game, advice, player, policy):
+    """Expected utility (c0, c1) with u = c0*v0 + c1*v1 for one deviator.
+
+    The per-policy Fraction loop the deviation table replaced, kept as its
+    independent oracle: one law query per question and policy.
+    """
+    c0 = Fraction(0)
+    c1 = Fraction(0)
+    for q in game.questions:
+        law = advice.law(q.qid)
+        t = q.type_bits[player]
+        rest = q.involved - {player}
+        rows = np.zeros((2, game.n), dtype=np.uint8)
+        rows[0, player] = 1
+        for r in rest:
+            rows[1, r] = 1
+        joint = law.linear_image_distribution(rows)
+        for (advice_bit, rest_parity), prob in joint.items():
+            answer = policy[(t << 1) | advice_bit]
+            own_term = answer if player in q.involved else 0
+            win = (rest_parity + own_term) % 2 == q.parity
+            if win:
+                if answer:
+                    c1 += q.weight * prob
+                else:
+                    c0 += q.weight * prob
+    return c0, c1
+
+
+def oracle_kfold_csw(gt, k):
+    """Best product-Nash social welfare of k groups, in Fractions.
+
+    The Fraction frontier and per-combination ``math.prod`` the integer
+    k-fold search replaced, kept as its oracle.
+    """
+    n = gt.game.n
+    values = {
+        (gt.p_win(int(c)), gt.sum_win_util(int(c)))
+        for c in np.nonzero(gt.nash & ~gt.zero_pwin)[0]
+    }
+    frontier = [
+        v
+        for v in values
+        if not any(o != v and o[0] >= v[0] and o[1] >= v[1] for o in values)
+    ]
+    best = None
+    for combo in itertools.combinations_with_replacement(sorted(frontier), k):
+        pwins = [c[0] for c in combo]
+        total = Fraction(0)
+        for g in range(k):
+            others = math.prod((pwins[h] for h in range(k) if h != g), start=Fraction(1))
+            total += combo[g][1] * others
+        sw = total / (k * n)
+        if best is None or sw > best:
+            best = sw
+    if k >= 2 and gt.zero_pwin.any():
+        best = max(best, Fraction(0)) if best is not None else Fraction(0)
+    return best

@@ -1,17 +1,25 @@
 """Penalty pruning, k-fold repetition, and the separation calculator."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from grapheq import (
+    BUILTIN_NAMES,
+    GameSpec,
+    Graph,
     GroupTable,
     PayoffParams,
+    ProductGameSpec,
     SizeLimitError,
+    UnsupportedGameError,
+    best_csw,
     builtin_game,
     enumerate_nash,
+    evaluate,
     evaluate_product,
     kfold,
     kfold_best_csw,
@@ -23,10 +31,12 @@ from grapheq import (
     verify_product_perfect_win,
 )
 from grapheq.amplification import (
+    _product_perfect_win_enumerated,
     product_nash_matrix_bruteforce,
     product_nash_matrix_decomposition,
 )
 from grapheq.classical import code_to_profile
+from helpers import cycle_game, oracle_kfold_csw, toy_two_player_game
 
 PARAMS = PayoffParams(Fraction(2, 3), Fraction(1))
 
@@ -152,18 +162,23 @@ def test_kfold_two_groups_decomposition_equals_bruteforce():
 
 
 def test_kfold_zero_factor_verification_mode():
-    game = builtin_game("NC00_C5")
-    gt = GroupTable(game, PARAMS)
-    # NC00 has no profile losing every question, so zero-factor pairs are
-    # vacuous; the verification branch must still agree with brute force
-    assert not gt.zero_pwin.any()
-    dec = kfold_best_csw(game, 2, PARAMS, gt=gt, prune_zero_factor=False)
-    assert dec.csw == Fraction(23, 36)
-    # structural fact behind the pruning: no winning round means no
-    # winning utility
-    for code in range(1024):
-        if gt.pwin_num[code] == 0:
-            assert gt.sum_util_num[code] == 0
+    """Pairs with a zero-win-probability side have social welfare 0, which
+    is why the decomposition search may skip them."""
+    for game in (builtin_game("NC00_C5"), toy_two_player_game()):
+        gt = GroupTable(game, PARAMS)
+        rule = product_nash_matrix_decomposition(gt)
+        zero_side = gt.zero_pwin[:, None] | gt.zero_pwin[None, :]
+        cross = np.outer(gt.sum_util_num, gt.pwin_num)
+        sw_scaled = cross + cross.T
+        assert not np.any(sw_scaled[rule & zero_side] != 0)
+        # no winning round means no winning utility
+        assert not np.any(gt.sum_util_num[gt.zero_pwin] != 0)
+        dec = kfold_best_csw(game, 2, PARAMS, gt=gt)
+        assert dec.csw == kfold_bruteforce_csw(game, 2, PARAMS, gt=gt).csw
+    # NC00 has no profile losing every question, the toy game has some
+    assert not GroupTable(builtin_game("NC00_C5"), PARAMS).zero_pwin.any()
+    assert GroupTable(toy_two_player_game(), PARAMS).zero_pwin.any()
+    assert kfold_best_csw(builtin_game("NC00_C5"), 2, PARAMS).csw == Fraction(23, 36)
 
 
 def test_kfold_decay_factor_constant():
@@ -192,6 +207,63 @@ def test_product_perfect_win():
 
 def test_product_perfect_win_four_groups():
     assert verify_product_perfect_win(kfold(builtin_game("NC00_C5"), 4))
+
+
+def _with_question(game, index, **changes):
+    """``game`` with one question replaced, its generator set dropped so the
+    stated involved set and parity are taken as given."""
+    questions = list(game.questions)
+    questions[index] = replace(questions[index], generator_set=None, **changes)
+    return GameSpec(game.name + "-changed", game.graph, tuple(questions))
+
+
+def _losing_games():
+    nc00 = builtin_game("NC00_C5")
+    flipped = _with_question(nc00, 1, parity=1 - nc00.questions[1].parity)
+    # an all-Z round on a graph state gives a fair coin for player 0 alone
+    coin = _with_question(nc00, 1, type_bits=(0,) * 5, involved=frozenset({0}))
+    return [flipped, coin]
+
+
+def test_factorised_product_win_equals_enumeration():
+    cases = [(builtin_game(name), k) for name in BUILTIN_NAMES for k in (1, 2)]
+    cases += [(builtin_game("NC00_C5"), 3), (cycle_game(4), 2)]
+    cases += [(game, k) for game in _losing_games() for k in (1, 2)]
+    answers = []
+    for game, k in cases:
+        product = kfold(game, k)
+        got = verify_product_perfect_win(product)
+        assert got == _product_perfect_win_enumerated(product), (game.name, k)
+        answers.append(got)
+    assert answers.count(False) == 4
+
+
+def test_product_perfect_win_at_players_needed_k():
+    # players-needed reports k=26 for eps=1/100; the claim is checked there
+    assert verify_product_perfect_win(kfold(builtin_game("NC00_C5"), 26))
+    for game in _losing_games():
+        assert not verify_product_perfect_win(kfold(game, 26))
+    with pytest.raises(SizeLimitError):
+        _product_perfect_win_enumerated(kfold(builtin_game("NC00_C5"), 5))
+
+
+def test_product_perfect_win_checks_group_structure():
+    class Bridged(ProductGameSpec):
+        @property
+        def graph(self):
+            g = super().graph
+            return Graph.from_edges(g.n, set(g.edges) | {(4, 5)})
+
+    class Trimmed(ProductGameSpec):
+        @property
+        def graph(self):
+            g = super().graph
+            return Graph.from_edges(g.n, set(g.edges) - {(5, 6)})
+
+    game = builtin_game("NC00_C5")
+    for cls in (Bridged, Trimmed):
+        with pytest.raises(UnsupportedGameError):
+            verify_product_perfect_win(cls(game, 2))
 
 
 def test_product_advice_marginals_stay_uniform():
@@ -250,3 +322,57 @@ def test_players_needed_monotone_in_eps():
     game = builtin_game("NC00_C5")
     ks = [players_needed(game, PARAMS, Fraction(1, 10**m)).k for m in range(1, 5)]
     assert ks == sorted(ks)
+
+
+def test_integer_frontier_matches_fraction_search():
+    for name in BUILTIN_NAMES:
+        game = builtin_game(name)
+        for r in (Fraction(1, 6), Fraction(1, 3), Fraction(37, 60), Fraction(2, 3)):
+            params = PayoffParams(r, Fraction(1))
+            gt = GroupTable(game, params)
+            oracle = [oracle_kfold_csw(gt, k) for k in (1, 2, 3, 4)]
+            for k in (1, 2, 3, 4):
+                rep = kfold_best_csw(game, k, params, gt=gt)
+                assert rep.csw == oracle[k - 1], (name, r, k)
+                if k >= 2 and oracle[k - 2] != 0:
+                    assert rep.decay_factor == oracle[k - 1] / oracle[k - 2]
+
+
+TINY_V0 = (Fraction(1, 2**61), Fraction(1, 2**70))
+
+
+def test_group_table_exact_past_int64():
+    # v1/v0 = 2^61 or 2^70 puts the scaled utilities past int64
+    game = builtin_game("NC00_C5")
+    for v0 in TINY_V0:
+        params = PayoffParams(v0, Fraction(1))
+        gt = GroupTable(game, params)
+        assert gt.win_util_num.dtype == object
+        value, _ = best_csw(game, params)
+        assert kfold_best_csw(game, 1, params, gt=gt).csw == value
+        for code in (0, 341, 1023):
+            ev = evaluate(game, code_to_profile(code, 5))
+            assert gt.sum_win_util(code) == sum(
+                p.win_v0 * params.v0 + p.win_v1 * params.v1 for p in ev.payoffs
+            )
+        assert kfold_best_csw(game, 3, params, gt=gt).csw == oracle_kfold_csw(gt, 3)
+
+
+def test_players_needed_exact_past_int64():
+    game = builtin_game("NC00_C5")
+    params = PayoffParams(TINY_V0[0], Fraction(1))
+    res = players_needed(game, params, Fraction(1, 100))
+    csw = [kfold_best_csw(game, k, params).csw for k in (1, 2, res.k)]
+    assert res.base_ratio == csw[0] / qsw(params) == best_csw(game, params)[0] / qsw(params)
+    assert res.decay_factor == csw[1] / csw[0]
+    assert res.achieved_ratio == csw[2] / qsw(params) <= Fraction(1, 100)
+
+
+def test_kfold_bruteforce_exact_near_int64():
+    # at v1/v0 = 2^57 the utilities fit int64 but the pair welfare does not
+    game = builtin_game("NC00_C5")
+    params = PayoffParams(Fraction(1, 2**57), Fraction(1))
+    gt = GroupTable(game, params)
+    assert gt.sum_util_num.dtype == np.int64
+    bf = kfold_bruteforce_csw(game, 2, params, gt=gt)
+    assert bf.csw == kfold_best_csw(game, 2, params, gt=gt).csw == oracle_kfold_csw(gt, 2)

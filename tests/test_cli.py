@@ -3,7 +3,9 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
+from grapheq import PayoffParams, builtin_game, game_to_document
 from grapheq.cli import main
 
 
@@ -85,6 +87,35 @@ def test_kfold_rejects_k_below_one():
         assert code == 3
         assert out == ""
         assert err.startswith("error: --k must be at least 1")
+
+
+def test_kfold_checks_quantum_at_players_needed_k():
+    code, out, err = run_cli(
+        "kfold", "--game", "NC00_C5", "--k", "26", "--v0", "2/3", "--v1", "1", "--check-quantum"
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["productPerfectWin"] is True
+    assert doc["csw"] == str(Fraction(23, 30) * Fraction(5, 6) ** 25)
+
+
+def test_kfold_exact_past_int64():
+    # v1/v0 = 2^61 and 2^70: the scaled utilities no longer fit int64
+    for v0 in ("1/2305843009213693952", f"1/{2**70}"):
+        code, out, err = run_cli("kfold", "--game", "NC00_C5", "--k", "1", "--v0", v0, "--v1", "1")
+        assert (code, err) == (0, "")
+        _, csw_out, _ = run_cli("csw", "--game", "NC00_C5", "--v0", v0, "--v1", "1", "--format", "json")
+        assert json.loads(out)["csw"] == json.loads(csw_out)["csw"]
+
+
+def test_duplicate_question_id_exits_3(tmp_path):
+    doc = game_to_document(builtin_game("NC00_C5"), PayoffParams(Fraction(2, 3), Fraction(1)))
+    doc["questions"][1]["id"] = "Ta"
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("quantum", "--game", str(path))
+    assert (code, out) == (3, "")
+    assert "duplicate question id" in err
 
 
 NASH_ARGS = ("nash", "--game", "NC00_C5", "--v0", "2/3", "--v1", "1")

@@ -1,6 +1,7 @@
 """Builtin game definitions, involvement probabilities, and the file format."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -231,6 +232,18 @@ def test_duplicate_type_and_involved_rejected():
     doc = game_to_document(game, PARAMS)
     doc["questions"][1]["w"] = "1/12"
     doc["questions"].append(dict(doc["questions"][1]))
+    with pytest.raises(MalformedDocumentError):
+        game_from_document(doc)
+
+
+def test_duplicate_question_id_rejected():
+    # advice laws are keyed by id: a second "Ta" would alias the first
+    game = builtin_game("NC00_C5")
+    renamed = (game.questions[0], replace(game.questions[1], qid="Ta")) + game.questions[2:]
+    with pytest.raises(MalformedDocumentError, match="duplicate question id"):
+        GameSpec("dup", game.graph, renamed)
+    doc = game_to_document(game, PARAMS)
+    doc["questions"][1]["id"] = "Ta"
     with pytest.raises(MalformedDocumentError):
         game_from_document(doc)
 

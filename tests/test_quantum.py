@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from helpers import cycle_game, oracle_deviation_payoff_coefficients
 
 from grapheq import (
     DEVIATION_POLICIES,
@@ -15,6 +16,7 @@ from grapheq import (
     builtin_game,
     derive_question,
     deviation_payoff_coefficients,
+    deviation_table,
     is_quantum_nash,
     outcome_law,
     p_involved_given_advice,
@@ -164,3 +166,42 @@ def test_qsw_values_and_direct_utilities():
     for name in BUILTINS:
         utils = quantum_player_utilities(builtin_game(name), PARAMS)
         assert all(u == Fraction(5, 6) for u in utils)
+
+
+def test_deviation_table_matches_per_policy_oracle():
+    for game in [builtin_game(name) for name in BUILTINS] + [cycle_game(4)]:
+        advice = advice_correlation(game)
+        table = deviation_table(game, advice)
+        for player in range(game.n):
+            for policy in DEVIATION_POLICIES:
+                want = oracle_deviation_payoff_coefficients(game, advice, player, policy)
+                assert table.coefficients(player, policy) == want, (game.name, player, policy)
+                assert deviation_payoff_coefficients(game, advice, player, policy) == want
+
+
+def test_integer_deviation_scan_matches_fraction_comparison():
+    # every ratio i/60, including each game's threshold and the ties at 1
+    for name in BUILTINS:
+        game = builtin_game(name)
+        advice = advice_correlation(game)
+        table = deviation_table(game, advice)
+        coeff = [
+            oracle_deviation_payoff_coefficients(game, advice, player, policy)
+            for player in range(game.n)
+            for policy in DEVIATION_POLICIES
+        ]
+        for i in range(61):
+            for v1 in (Fraction(1), Fraction(7, 3)):
+                v0 = Fraction(i, 60) * v1
+                want = all(c0 * v0 + c1 * v1 <= (v0 + v1) / 2 for c0, c1 in coeff)
+                assert table.advice_is_nash(v0, v1) == want, (name, v0, v1)
+                params = PayoffParams(v0, v1)
+                assert is_quantum_nash(game, params, method="exhaustive") == want
+
+
+def test_deviation_policy_must_be_four_bits():
+    game = builtin_game("NC00_C5")
+    advice = advice_correlation(game)
+    for policy in ((0, 1, 0), (0, 1, 0, 2)):
+        with pytest.raises(ValueError):
+            deviation_payoff_coefficients(game, advice, 0, policy)

@@ -287,6 +287,20 @@ def test_inconsistent_constraints_rejected():
         OutcomeLaw(2, [[1, 0], [1, 0]], [0, 1])
 
 
+def test_queries_on_inconsistent_constraints_raise_typed_error():
+    # constraints made inconsistent after construction: every query that
+    # needs a point of the support reports it instead of asserting
+    law = outcome_law(Graph.cycle(3), ["X", "Z", "Z"])
+    law.matrix = np.array([[1, 0, 0], [1, 0, 0]], dtype=np.uint8)
+    law.rhs = np.array([0, 1], dtype=np.uint8)
+    with pytest.raises(InconsistentLawError):
+        law.marginal([0])
+    with pytest.raises(InconsistentLawError):
+        next(law.support())
+    with pytest.raises(InconsistentLawError):
+        law.sample(random.Random(0))
+
+
 def test_sample_stays_in_support():
     rng = random.Random(3)
     law = outcome_law(Graph.cycle(5), ["X", "Z", "Z", "Z", "Z"])
