@@ -62,9 +62,8 @@ def penalty_report(game: GameSpec, params: PayoffParams, *, table: PayoffTable |
     table = table or PayoffTable(game)
     profiles = enumerate_nash(game, params, table=table)
     report = build_report(game, profiles, "nash", params=params, table=table)
-    sws = tuple(
-        table.social_welfare(profile_to_code(p, game.n), params) for p in profiles
-    )
+    nums, den = table.welfare_nums([profile_to_code(p, game.n) for p in profiles], params)
+    sws = tuple(Fraction(num, den * game.n) for num in nums.tolist())
     return PenaltyReport(report, sws, qsw(params))
 
 

@@ -10,7 +10,10 @@ payoff ratio v0/v1.
 Every scan runs on ``_player_axis``, a zero-copy view that puts one player's
 local function on an axis, so each unilateral deviation is a slice.  Values
 are exact integers (Python integers where int64 could overflow); no float
-decides anything.
+decides anything.  Social welfare is one integer row sum per selected
+profile (``PayoffTable.welfare_nums``), turned into a Fraction only for an
+answer.  Reporting symmetries come from a backtracking search that extends
+a partial player map only while it preserves adjacency and degree.
 """
 
 from __future__ import annotations
@@ -172,16 +175,7 @@ class PayoffTable:
         Each player's column is contiguous.  Falls back to arbitrary-precision
         objects if int64 could overflow.
         """
-        lden = math.lcm(
-            params.v0.denominator,
-            params.v1.denominator,
-            (params.penalty * params.v0).denominator,
-            (params.penalty * params.v1).denominator,
-        )
-        a0 = int(params.v0 * lden)
-        a1 = int(params.v1 * lden)
-        g0 = int(params.penalty * params.v0 * lden)
-        g1 = int(params.penalty * params.v1 * lden)
+        a0, a1, g0, g1, lden = _payoff_integers(params)
         bound = self.scale * (abs(a0) + abs(a1) + abs(g0) + abs(g1))
         # built player-major, with temporaries of one column only
         grid = np.empty((self.n, self.ncodes), dtype=np.int64 if bound < 2**62 else object)
@@ -193,9 +187,41 @@ class PayoffTable:
             row[...] = w0 * a0 + w1 * a1 - l0 * g0 - l1 * g1
         return grid.T, self.scale * lden
 
+    def welfare_nums(self, codes, params: PayoffParams) -> tuple[np.ndarray, int]:
+        """Summed utility of every profile in ``codes``, as integers over
+        the returned ``scale * lcm`` (the row sums of ``utility_grid``).
+
+        Python integers replace int64 when n times the largest utility
+        could overflow it.
+        """
+        a0, a1, g0, g1, lden = _payoff_integers(params)
+        bound = self.n * self.scale * (abs(a0) + abs(a1) + abs(g0) + abs(g1))
+        dtype = np.int64 if bound < 2**62 else object
+        codes = np.asarray(codes, dtype=np.int64)
+        total = np.zeros(codes.size, dtype=dtype)
+        for c, a in ((self.win0, a0), (self.win1, a1), (self.lose0, -g0), (self.lose1, -g1)):
+            total += c[codes].sum(axis=1).astype(dtype) * a
+        return total, self.scale * lden
+
     def social_welfare(self, code: int, params: PayoffParams) -> Fraction:
-        grid_row = [self.payoff(code, j).value(params) for j in range(self.n)]
-        return sum(grid_row) / self.n
+        nums, den = self.welfare_nums([code], params)
+        return Fraction(int(nums[0]), den * self.n)
+
+
+def _payoff_integers(params: PayoffParams) -> tuple[int, int, int, int, int]:
+    """v0, v1, penalty*v0 and penalty*v1 times their common denominator,
+    followed by that denominator."""
+    lden = math.lcm(
+        params.v0.denominator,
+        params.v1.denominator,
+        (params.penalty * params.v0).denominator,
+        (params.penalty * params.v1).denominator,
+    )
+    a0 = int(params.v0 * lden)
+    a1 = int(params.v1 * lden)
+    g0 = int(params.penalty * params.v0 * lden)
+    g1 = int(params.penalty * params.v1 * lden)
+    return a0, a1, g0, g1, lden
 
 
 def _player_axis(arr: np.ndarray, n: int, j: int) -> np.ndarray:
@@ -335,6 +361,16 @@ class RegimeAnalysis:
         )
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of a 1-D array: a sort and a neighbour
+    compare, exact for object dtype too (``np.unique`` would import
+    ``numpy.ma``)."""
+    keys = np.sort(keys)
+    keep = np.ones(keys.shape, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
 def ratio_regimes(
     game: GameSpec, penalty: Fraction = Fraction(0), table: PayoffTable | None = None
 ) -> RegimeAnalysis:
@@ -375,7 +411,7 @@ def ratio_regimes(
     # one player at a time, so memory stays at one player's deviations;
     # keys 1 and keyed + 1 are the ends 0/1 and 1/1 of the ratio range
     ends = np.array([1, keyed + 1], dtype=slope.dtype)
-    distinct = np.unique(np.concatenate([np.unique(bounds_of(j)[3]) for j in range(n)] + [ends]))
+    distinct = _distinct(np.concatenate([_distinct(bounds_of(j)[3]) for j in range(n)] + [ends]))
     values = np.array([Fraction(k // keyed, k % keyed) for k in distinct.tolist()], dtype=object)
     order = np.argsort(values)
     bounds = values[order].tolist()
@@ -459,27 +495,48 @@ def reporting_symmetries(game: GameSpec) -> SymmetryGroup:
     group when a reflection keeps every type pattern but reroutes involved
     sets; classes are always taken inside the equilibrium set, so members
     of a reported class are equilibria by construction.
+
+    Graph automorphisms are found by backtracking: player j is mapped to a
+    free vertex of its degree whose adjacency to the images of players
+    0..j-1 matches j's own, so only partial maps that can still preserve
+    the graph are extended.  Candidates are tried in increasing order, so
+    the permutations come out in lexicographic order.
     """
     n = game.n
     if n > 8:
         raise SizeLimitError("symmetry search is factorial; limited to n <= 8")
-    type_target = Counter((q.type_bits, q.weight) for q in game.questions)
-    edges = game.graph.edges
+    # (players of type 1, weight rank) per question: the multiset to keep
+    weights = sorted({q.weight for q in game.questions})
+    typed = [
+        ([j for j, b in enumerate(q.type_bits) if b], weights.index(q.weight))
+        for q in game.questions
+    ]
+    type_target = Counter((sum(1 << j for j in ones), w) for ones, w in typed)
+    nbr = game.graph.neighbor_masks()
     perms = []
-    for perm in itertools.permutations(range(n)):
-        mapped = frozenset(
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges
-        )
-        if mapped != edges:
-            continue
-        counted = Counter()
-        for q in game.questions:
-            tbits = [0] * n
-            for j, b in enumerate(q.type_bits):
-                tbits[perm[j]] = b
-            counted[(tuple(tbits), q.weight)] += 1
-        if counted == type_target:
-            perms.append(perm)
+    perm: list[int] = []
+
+    def types_preserved() -> bool:
+        moved = Counter((sum(1 << perm[j] for j in ones), w) for ones, w in typed)
+        return moved == type_target
+
+    def extend(used: int) -> None:
+        j = len(perm)
+        if j == n:
+            if types_preserved():
+                perms.append(tuple(perm))
+            return
+        # images of j's neighbours among the players already mapped
+        mapped = sum(1 << perm[i] for i in range(j) if (nbr[j] >> i) & 1)
+        for v in range(n):
+            if (used >> v) & 1 or nbr[v].bit_count() != nbr[j].bit_count():
+                continue
+            if nbr[v] & used == mapped:
+                perm.append(v)
+                extend(used | 1 << v)
+                perm.pop()
+
+    extend(0)
     return SymmetryGroup(tuple(perms))
 
 
@@ -564,21 +621,15 @@ def best_csw(
     table: PayoffTable | None = None,
 ) -> tuple[Fraction, list[tuple[int, ...]]]:
     """Best social welfare over the criterion's profiles, with the argmax set."""
-    table = table or PayoffTable(game)
-    if criterion == "nash":
-        profiles = enumerate_nash(game, params, table=table)
-    elif criterion == "pareto":
-        profiles = enumerate_pareto(game, params, table=table)
-    else:
+    scans = {"nash": _nash_mask, "pareto": _pareto_mask}
+    if criterion not in scans:
         raise ValueError(f"unknown criterion {criterion!r}")
-    if not profiles:
+    table = table or PayoffTable(game)
+    n = table.n
+    codes = np.flatnonzero(scans[criterion](table.utility_grid(params)[0], n))
+    if codes.size == 0:
         raise EmptyEquilibriumSetError(f"no {criterion} profile for {game.name}")
-    best: Fraction | None = None
-    argmax: list[tuple[int, ...]] = []
-    for p in profiles:
-        sw = table.social_welfare(profile_to_code(p, table.n), params)
-        if best is None or sw > best:
-            best, argmax = sw, [p]
-        elif sw == best:
-            argmax.append(p)
-    return best, argmax
+    nums, den = table.welfare_nums(codes, params)
+    best = nums.max()
+    argmax = [_interned_profile(c, n) for c in codes[nums == best].tolist()]
+    return Fraction(int(best), den * n), argmax

@@ -235,21 +235,30 @@ def game_to_document(game: GameSpec, params: PayoffParams) -> dict:
     return doc
 
 
+def _vertex_set(entries, n: int) -> frozenset[int]:
+    """Vertex ids of a K or I field; ValueError if one lies outside 0..n-1."""
+    vertices = frozenset(int(j) for j in entries)
+    if not all(0 <= j < n for j in vertices):
+        raise ValueError(f"vertex outside 0..{n - 1} in {sorted(vertices)}")
+    return vertices
+
+
 def game_from_document(doc: dict) -> tuple[GameSpec, PayoffParams]:
     """Parse and validate a game document; inverse of ``game_to_document``.
 
     Questions with a K field have involved/parity recomputed and compared;
-    questions without K must state both explicitly.
+    questions without K must state both explicitly.  Every structural fault
+    is a ``MalformedDocumentError``.
     """
     try:
         n = int(doc["n"])
         edges = [(int(u), int(v)) for u, v in doc["edges"]]
         name = str(doc.get("name", "game"))
-        raw_questions = doc["questions"]
-        payoffs = doc.get("payoffs", {})
-    except (KeyError, TypeError, ValueError) as exc:
+        raw_questions = list(doc["questions"])
+        payoffs = dict(doc.get("payoffs", {}))
+        graph = Graph.from_edges(n, edges)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"bad game document: {exc}") from exc
-    graph = Graph.from_edges(n, edges)
     params = PayoffParams(
         parse_rational(payoffs.get("v0", "0")),
         parse_rational(payoffs.get("v1", "1")),
@@ -261,21 +270,20 @@ def game_from_document(doc: dict) -> tuple[GameSpec, PayoffParams]:
             qid = str(raw["id"])
             tbits = tuple(int(c) for c in str(raw["t"]))
             weight = parse_rational(raw["w"])
+            gen = _vertex_set(raw["K"], n) if "K" in raw else None
+            involved = _vertex_set(raw["I"], n) if "I" in raw else None
+            parity = int(raw["b"]) if "b" in raw else None
         except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedDocumentError(f"bad question entry {raw!r}") from exc
-        gen = frozenset(int(j) for j in raw["K"]) if "K" in raw else None
+            raise MalformedDocumentError(f"bad question entry {raw!r}: {exc}") from exc
         if gen is not None:
             der = derive_question(graph, gen)
             if not der.valid:
                 raise InvalidGeneratorError(f"{qid}: K={sorted(gen)} has odd internal degree")
-            involved = frozenset(int(j) for j in raw["I"]) if "I" in raw else der.involved
-            parity = int(raw["b"]) if "b" in raw else der.parity
+            involved = der.involved if involved is None else involved
+            parity = der.parity if parity is None else parity
             if involved != der.involved or parity != der.parity:
                 raise QuestionMismatchError(f"{qid}: stated involved/parity disagree with K")
-        else:
-            if "I" not in raw or "b" not in raw:
-                raise MalformedDocumentError(f"{qid}: questions without K need explicit I and b")
-            involved = frozenset(int(j) for j in raw["I"])
-            parity = int(raw["b"])
+        elif involved is None or parity is None:
+            raise MalformedDocumentError(f"{qid}: questions without K need explicit I and b")
         questions.append(QuestionSpec(qid, tbits, involved, parity, weight, gen))
     return GameSpec(name, graph, tuple(questions)), params

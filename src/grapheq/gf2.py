@@ -1,96 +1,116 @@
-"""Dense GF(2) linear algebra on numpy uint8 matrices.
+"""Dense GF(2) linear algebra on rows packed into Python integers.
 
-Rows are constraint vectors over bits; all arithmetic is XOR based and exact.
+Bit j of a row is column j, so adding two rows is one XOR and a dot product
+is the parity of an AND, whatever the width (the bit-packed rows of
+stabilizer simulation).  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
-def as_matrix(rows, width: int) -> np.ndarray:
-    """Pack an iterable of 0/1 row vectors into a (m, width) uint8 matrix."""
-    data = list(rows)
-    if not data:
-        return np.zeros((0, width), dtype=np.uint8)
-    mat = np.array(data, dtype=np.uint8)
+def pack(bits) -> int:
+    """The row whose bit j is ``bits[j]`` (taken mod 2)."""
+    row = 0
+    for j, b in enumerate(bits):
+        if int(b) & 1:
+            row |= 1 << j
+    return row
+
+
+def unpack(row: int, width: int) -> tuple[int, ...]:
+    return tuple((row >> j) & 1 for j in range(width))
+
+
+def pack_rows(rows, width: int) -> list[int]:
+    """Pack a (m, width) 0/1 matrix, or a single row, into m integers."""
+    mat = np.asarray(rows, dtype=np.int64)
+    if mat.size == 0:
+        return []
     if mat.ndim == 1:
         mat = mat.reshape(1, -1)
-    if mat.shape[1] != width:
-        raise ValueError(f"expected width {width}, got {mat.shape[1]}")
-    return mat & 1
+    if mat.ndim != 2 or mat.shape[1] != width:
+        raise ValueError(f"expected width {width}, got shape {mat.shape}")
+    return [pack(r) for r in mat.tolist()]
 
 
-def rref(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form. Returns (reduced copy, pivot column list)."""
-    a = (np.asarray(mat, dtype=np.uint8) & 1).copy()
-    nrows, ncols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
+def to_matrix(rows, width: int) -> np.ndarray:
+    """The (len(rows), width) uint8 matrix of packed rows."""
+    return np.array([unpack(r, width) for r in rows], dtype=np.uint8).reshape(len(rows), width)
+
+
+def rref(rows) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form: the independent reduced rows in pivot
+    order, and the pivot column of each.
+
+    A row's pivot is its lowest set bit, which no other reduced row has.
+    """
+    reduced: dict[int, int] = {}  # pivot column -> row
+    for row in rows:
+        for p, r in reduced.items():
+            if (row >> p) & 1:
+                row ^= r
+        if row:
+            p = (row & -row).bit_length() - 1
+            for q, r in reduced.items():
+                if (r >> p) & 1:
+                    reduced[q] = r ^ row
+            reduced[p] = row
+    pivots = sorted(reduced)
+    return [reduced[p] for p in pivots], pivots
+
+
+def nullspace(rows, width: int) -> list[int]:
+    """Basis of {x : row . x = 0 for every row}, one per free column, in
+    column order (may be empty)."""
+    reduced, pivots = rref(rows)
+    basis = []
+    for f in range(width):
+        if f in pivots:
             continue
-        p = r + int(hits[0])
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        for o in np.nonzero(a[:, c])[0]:
-            if o != r:
-                a[o] ^= a[r]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def rank(mat: np.ndarray) -> int:
-    return len(rref(mat)[1])
-
-
-def nullspace(mat: np.ndarray) -> np.ndarray:
-    """Basis of {x : mat @ x = 0}, one vector per row (may be empty)."""
-    a, pivots = rref(mat)
-    ncols = a.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=np.uint8)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, p in enumerate(pivots):
-            basis[i, p] = a[row, f]
+        x = 1 << f
+        for row, p in zip(reduced, pivots):
+            if (row >> f) & 1:
+                x |= 1 << p
+        basis.append(x)
     return basis
 
 
-def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """One solution of mat @ x = rhs, or None if the system is inconsistent.
+def reduce_augmented(rows, rhs, width: int) -> tuple[list[int], list[int]] | None:
+    """Row reduce the system [rows | rhs], dropping dependent rows.
 
-    Free variables are set to zero.
+    Returns (reduced rows, reduced rhs bits) with independent rows only, or
+    None if some combination of rows yields 0 = 1.
     """
-    mat = np.asarray(mat, dtype=np.uint8) & 1
-    rhs = np.asarray(rhs, dtype=np.uint8).reshape(-1) & 1
-    nrows, ncols = mat.shape
-    aug = np.concatenate([mat, rhs.reshape(-1, 1)], axis=1)
-    red, pivots = rref(aug)
-    if ncols in pivots:
+    reduced, pivots = rref(row | ((int(b) & 1) << width) for row, b in zip(rows, rhs))
+    if pivots and pivots[-1] == width:
         return None
-    x = np.zeros(ncols, dtype=np.uint8)
-    for row, p in enumerate(pivots):
-        x[p] = red[row, ncols]
+    low = (1 << width) - 1
+    return [r & low for r in reduced], [r >> width for r in reduced]
+
+
+def solve(rows, rhs, width: int) -> int | None:
+    """One solution x of row_i . x = rhs_i, free variables zero, or None if
+    the system is inconsistent."""
+    reduced = reduce_augmented(rows, rhs, width)
+    if reduced is None:
+        return None
+    x = 0
+    for row, b in zip(*reduced):
+        if b:
+            x |= row & -row
     return x
 
 
-def reduce_augmented(rows: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Row reduce the system [rows | rhs], dropping dependent rows.
-
-    Returns (reduced rows, reduced rhs) with independent rows only, or None if
-    some combination of rows yields 0 = 1.
-    """
-    rows = np.asarray(rows, dtype=np.uint8) & 1
-    rhs = np.asarray(rhs, dtype=np.uint8).reshape(-1) & 1
-    ncols = rows.shape[1]
-    aug = np.concatenate([rows, rhs.reshape(-1, 1)], axis=1)
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    keep = len(pivots)
-    return red[:keep, :ncols].copy(), red[:keep, ncols].copy()
+def coset(offset: int, basis):
+    """Every point offset + span(basis), combinations in lexicographic
+    order of the coefficient bits."""
+    for combo in itertools.product((0, 1), repeat=len(basis)):
+        point = offset
+        for bit, row in zip(combo, basis):
+            if bit:
+                point ^= row
+        yield point

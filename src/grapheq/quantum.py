@@ -9,9 +9,11 @@ scan over local post-processing deviations.
 
 The exhaustive scan runs on one deviation table per game: for every player
 and question, the exact law of (own advice bit, parity of the other involved
-players) is built once, and the payoff coefficients (c0, c1) of all 16
-policies follow from these laws as integers over one common scale, so every
-comparison against (v0+v1)/2 is an integer comparison.
+players) is read once, as a coset of bitmasks with integer masses, from the
+question's factored outcome law.  The payoff coefficients (c0, c1) of all 16
+policies follow as integers over one common scale, so every comparison
+against (v0+v1)/2 is an integer comparison.  Building the table takes a few
+milliseconds, so ``is_quantum_nash`` rebuilds it on every call.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from . import gf2
 from .errors import UnsupportedGameError
 from .games import GameSpec, PayoffParams, p_involved
 from .stabilizer import OutcomeLaw, outcome_law
@@ -169,24 +170,23 @@ def _deviation_row(
 ) -> tuple[tuple[int, int], ...]:
     """(c0, c1) of every policy for one deviator, times 4 * ``weight_scale``.
 
-    The law of (own advice bit, parity of the other involved players) is
-    built once per question.  From it, ``won[t][a][x]`` collects the mass of
-    rounds with own type t and advice bit a that answer x wins; a policy
-    picks one answer x per (t, a) and earns won[t][a][x] towards c_x.  A law
-    of two bits has probabilities in {1, 1/2, 1/4}, hence the factor 4.
+    Per question, the law's image under (own advice bit, parity of the other
+    involved players) is read as a coset of bitmasks.  From it,
+    ``won[t][a][x]`` collects the mass of rounds with own type t and advice
+    bit a that answer x wins; a policy picks one answer x per (t, a) and
+    earns won[t][a][x] towards c_x.  An image of two bits has probabilities
+    in {1, 1/2, 1/4}, hence the factor 4.
     """
     won = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    own_mask = 1 << player
     for q in game.questions:
         t = q.type_bits[player]
         own = player in q.involved
-        rows = np.zeros((2, game.n), dtype=np.uint8)
-        rows[0, player] = 1
-        for r in q.involved - {player}:
-            rows[1, r] = 1
-        weight = q.weight.numerator * (weight_scale // q.weight.denominator)
-        joint = advice.law(q.qid).linear_image_distribution(rows)
-        for (advice_bit, rest_parity), prob in joint.items():
-            mass = weight * int(prob * 4)
+        rest_mask = sum(1 << r for r in q.involved) & ~own_mask
+        offset, span = advice.law(q.qid).image_coset((own_mask, rest_mask))
+        mass = q.weight.numerator * (weight_scale // q.weight.denominator) * (4 >> len(span))
+        for point in gf2.coset(offset, span):
+            advice_bit, rest_parity = point & 1, point >> 1
             for answer in (0, 1):
                 if (rest_parity + (answer if own else 0)) % 2 == q.parity:
                     won[t][advice_bit][answer] += mass

@@ -3,6 +3,11 @@
 Products of stabilizer generators, derivation of valid parity questions, and
 the exact joint law of single-qubit X/Z measurements on a graph state.  All
 probabilities are rationals; nothing in this module touches floating point.
+
+Outcome laws are built from neighbourhood bitmasks and factored once: each
+law keeps one point of its support and a null-space basis as Python-int
+bitmasks (``gf2``), so a marginal, parity or image query is a handful of
+ANDs and XORs on that coset.
 """
 
 from __future__ import annotations
@@ -52,6 +57,14 @@ class Graph:
 
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(b if a == v else a for a, b in self.edges if v in (a, b))
+
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Bit u of entry v is set when u and v are adjacent."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     def adjacency(self) -> np.ndarray:
         adj = np.zeros((self.n, self.n), dtype=np.uint8)
@@ -146,15 +159,51 @@ class OutcomeLaw:
     """Uniform distribution over the affine solution set of M a = c over GF(2).
 
     This is the exact joint law of the answers produced by measuring each
-    qubit of a graph state in its assigned X or Z basis.
+    qubit of a graph state in its assigned X or Z basis.  ``matrix`` and
+    ``rhs`` hold the reduced constraints as read-only uint8 arrays; the
+    support, one particular point plus a null-space basis as bitmasks (bit j
+    is player j's answer), is factored once on the first query of the
+    current constraints and reused by every later one.
     """
 
-    def __init__(self, n: int, matrix: np.ndarray, rhs: np.ndarray):
-        reduced = gf2.reduce_augmented(gf2.as_matrix(matrix, n), np.asarray(rhs, dtype=np.uint8))
+    def __init__(self, n: int, matrix, rhs):
+        rows = gf2.pack_rows(matrix, n)
+        bits = np.asarray(rhs, dtype=np.int64).reshape(-1).tolist()
+        self.n = n
+        self._set_reduced(rows, bits)
+
+    @classmethod
+    def from_masks(cls, n: int, rows: list[int], rhs: list[int]) -> "OutcomeLaw":
+        """The law of constraints given as bitmask rows with their parities."""
+        law = cls.__new__(cls)
+        law.n = n
+        law._set_reduced(rows, rhs)
+        return law
+
+    def _set_reduced(self, rows: list[int], rhs: list[int]) -> None:
+        reduced = gf2.reduce_augmented(rows, rhs, self.n)
         if reduced is None:
             raise InconsistentLawError("parity constraints are inconsistent")
-        self.n = n
-        self.matrix, self.rhs = reduced
+        self.matrix = gf2.to_matrix(reduced[0], self.n)
+        self.rhs = np.array(reduced[1], dtype=np.uint8)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
+
+    @matrix.setter
+    def matrix(self, value) -> None:
+        self._matrix = _read_only(value)
+        self._factors = None
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self._rhs
+
+    @rhs.setter
+    def rhs(self, value) -> None:
+        self._rhs = _read_only(value)
+        self._factors = None
 
     @property
     def rank(self) -> int:
@@ -164,12 +213,15 @@ class OutcomeLaw:
     def support_size(self) -> int:
         return 2 ** (self.n - self.rank)
 
-    def _particular(self) -> np.ndarray:
-        """One answer vector of the law's support."""
-        particular = gf2.solve(self.matrix, self.rhs)
-        if particular is None:
-            raise InconsistentLawError("parity constraints are inconsistent")
-        return particular
+    def _support_basis(self) -> tuple[int, list[int]]:
+        """One point of the support and a basis of its direction, as masks."""
+        if self._factors is None:
+            rows = gf2.pack_rows(self.matrix, self.n)
+            particular = gf2.solve(rows, self.rhs.tolist(), self.n)
+            if particular is None:
+                raise InconsistentLawError("parity constraints are inconsistent")
+            self._factors = particular, gf2.nullspace(rows, self.n)
+        return self._factors
 
     def probability_of(self, answer) -> Fraction:
         """Exact probability of a full answer vector."""
@@ -180,67 +232,74 @@ class OutcomeLaw:
             return Fraction(0)
         return Fraction(1, self.support_size)
 
+    def image_coset(self, masks) -> tuple[int, list[int]]:
+        """The image of the support under the functionals ``masks``.
+
+        Functional i maps an answer vector a to the parity of ``masks[i] &
+        a``; bit i of an image point is its value.  The image of an affine
+        subspace under a linear map is an affine subspace with equal fibers,
+        returned as (offset, reduced basis): each of its points has
+        probability 2**-len(basis).
+        """
+        particular, basis = self._support_basis()
+
+        def image(x):
+            point = 0
+            for i, m in enumerate(masks):
+                point |= ((m & x).bit_count() & 1) << i
+            return point
+
+        return image(particular), gf2.rref(map(image, basis))[0]
+
+    def _image_distribution(self, masks) -> dict[tuple[int, ...], Fraction]:
+        offset, span = self.image_coset(masks)
+        if len(span) > 20:
+            raise ValueError("query subset too large for exact enumeration")
+        prob = Fraction(1, 2 ** len(span))
+        return {gf2.unpack(point, len(masks)): prob for point in gf2.coset(offset, span)}
+
     def linear_image_distribution(self, functional_rows) -> dict[tuple[int, ...], Fraction]:
         """Distribution of L @ a for answers a drawn from the law.
 
-        ``functional_rows`` is an (m, n) 0/1 matrix; the image of an affine
-        subspace under a linear map is an affine subspace with equal fibers,
-        so the result is uniform over a coset enumerated exactly.
+        ``functional_rows`` is an (m, n) 0/1 matrix; the result is uniform
+        over the coset of ``image_coset``, enumerated exactly.
         """
-        lmat = gf2.as_matrix(functional_rows, self.n)
-        particular = self._particular()
-        base = tuple(int(b) for b in (lmat @ particular) & 1)
-        images = (gf2.nullspace(self.matrix) @ lmat.T) & 1
-        span, pivots = gf2.rref(images)
-        dim = len(pivots)
-        if dim > 20:
-            raise ValueError("query subset too large for exact enumeration")
-        prob = Fraction(1, 2**dim)
-        dist: dict[tuple[int, ...], Fraction] = {}
-        for combo in itertools.product((0, 1), repeat=dim):
-            point = np.array(base, dtype=np.uint8)
-            for bit, row in zip(combo, span[:dim]):
-                if bit:
-                    point ^= row
-            dist[tuple(int(b) for b in point)] = prob
-        return dist
+        return self._image_distribution(gf2.pack_rows(functional_rows, self.n))
 
     def marginal(self, players) -> dict[tuple[int, ...], Fraction]:
         """Exact marginal distribution of the answers of a player subset."""
-        players = list(players)
-        rows = np.zeros((len(players), self.n), dtype=np.uint8)
-        for i, p in enumerate(players):
-            rows[i, p] = 1
-        return self.linear_image_distribution(rows)
+        return self._image_distribution([1 << p for p in players])
 
     def parity_distribution(self, players) -> dict[int, Fraction]:
         """Exact distribution of the answer parity of a player subset."""
-        row = np.zeros((1, self.n), dtype=np.uint8)
+        mask = 0
         for p in players:
-            row[0, p] = 1
-        return {bits[0]: pr for bits, pr in self.linear_image_distribution(row).items()}
+            mask |= 1 << p
+        return {bits[0]: pr for bits, pr in self._image_distribution([mask]).items()}
 
     def support(self):
         """Iterate all answer vectors of positive probability (small n only)."""
-        dim = self.n - self.rank
-        if dim > 24:
+        if self.n - self.rank > 24:
             raise ValueError("support too large to enumerate")
-        particular = self._particular()
-        basis = gf2.nullspace(self.matrix)
-        for combo in itertools.product((0, 1), repeat=dim):
-            point = particular.copy()
-            for bit, row in zip(combo, basis):
-                if bit:
-                    point ^= row
-            yield tuple(int(b) for b in point)
+        particular, basis = self._support_basis()
+        for point in gf2.coset(particular, basis):
+            yield gf2.unpack(point, self.n)
 
     def sample(self, rng) -> tuple[int, ...]:
         """Draw one answer vector.  Demo helper; analyses never sample."""
-        point = self._particular().copy()
-        for row in gf2.nullspace(self.matrix):
+        point, basis = self._support_basis()
+        for row in basis:
             if rng.random() < 0.5:
                 point ^= row
-        return tuple(int(b) for b in point)
+        return gf2.unpack(point, self.n)
+
+
+def _read_only(value) -> np.ndarray:
+    """A uint8 copy that cannot be edited in place, so a cached
+    factorisation never outlives the constraints it was built from."""
+    arr = np.array(value, dtype=np.uint8)
+    arr.flags.writeable = False
+    return arr
 
 
 def outcome_law(graph: Graph, bases) -> OutcomeLaw:
@@ -251,37 +310,30 @@ def outcome_law(graph: Graph, bases) -> OutcomeLaw:
     neighbors in K.  Compatible subsets form a linear space; each basis
     element contributes one parity constraint (its word support, with the
     word sign as right-hand side).  Signs are quadratic in K, so they are
-    recomputed per word rather than assumed linear.
+    recomputed per word rather than assumed linear.  Subsets, neighborhoods
+    and words are bitmasks over the vertices.
     """
     bases = list(bases)
     if len(bases) != graph.n:
         raise ValueError(f"need {graph.n} bases, got {len(bases)}")
     if any(b not in ("X", "Z") for b in bases):
         raise ValueError("bases must be 'X' or 'Z'")
-    adj = graph.adjacency()
-    conditions = []
-    for j, b in enumerate(bases):
-        if b == "Z":
-            row = np.zeros(graph.n, dtype=np.uint8)
-            row[j] = 1
-            conditions.append(row)
-        else:
-            conditions.append(adj[j])
-    admissible = gf2.nullspace(gf2.as_matrix(conditions, graph.n))
+    nbr = graph.neighbor_masks()
+    x_basis = gf2.pack(b == "X" for b in bases)
+    conditions = [nbr[j] if b == "X" else 1 << j for j, b in enumerate(bases)]
     rows = []
     rhs = []
-    for indicator in admissible:
-        word = stabilizer_word(graph, {int(j) for j in np.nonzero(indicator)[0]})
-        for j, letter in enumerate(word.letters):
-            # compatible subsets never produce a Y, and letters line up with bases
-            if letter == "Y" or (letter in ("X", "Z") and letter != bases[j]):
-                raise InconsistentLawError(f"letter {letter} on qubit {j} clashes with basis")
-        row = np.zeros(graph.n, dtype=np.uint8)
-        for j in word.support:
-            row[j] = 1
-        rows.append(row)
-        rhs.append(word.sign_exponent)
-    if not rows:
-        rows = np.zeros((0, graph.n), dtype=np.uint8)
-        rhs = np.zeros(0, dtype=np.uint8)
-    return OutcomeLaw(graph.n, np.asarray(rows, dtype=np.uint8), np.asarray(rhs, dtype=np.uint8))
+    for k in gf2.nullspace(conditions, graph.n):
+        members = [j for j in range(graph.n) if (k >> j) & 1]
+        # Z factors: bit j is |N(j) & K| mod 2; the sign counts edges inside K
+        z = 0
+        inside = 0
+        for j in members:
+            z ^= nbr[j]
+            inside += (nbr[j] & k).bit_count()
+        # compatible subsets never produce a Y, and letters line up with bases
+        if k & z or k & ~x_basis or z & x_basis:
+            raise InconsistentLawError(f"the word of K={members} clashes with the bases")
+        rows.append(k | z)
+        rhs.append((inside // 2) & 1)
+    return OutcomeLaw.from_masks(graph.n, rows, rhs)

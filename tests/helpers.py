@@ -3,11 +3,13 @@
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from grapheq import GameSpec, Graph, QuestionSpec, derive_question, evaluate
+from grapheq import GameSpec, Graph, QuestionSpec, SizeLimitError, derive_question, evaluate
+from grapheq.classical import SymmetryGroup
 
 
 def toy_two_player_game(w0=Fraction(1, 2), w1=Fraction(1, 2), name="toy"):
@@ -36,6 +38,35 @@ def cycle_game(n):
         bits = tuple(1 if j in gen else 0 for j in range(n))
         questions.append(QuestionSpec(qid, bits, der.involved, der.parity, weight, gen))
     return GameSpec(f"C{n}", graph, tuple(questions))
+
+
+def oracle_reporting_symmetries(game):
+    """Permutations preserving the graph and the weighted type multiset.
+
+    The scan over all n! permutations that the backtracking
+    ``reporting_symmetries`` replaced, kept as its independent oracle.
+    """
+    n = game.n
+    if n > 8:
+        raise SizeLimitError("symmetry search is factorial; limited to n <= 8")
+    type_target = Counter((q.type_bits, q.weight) for q in game.questions)
+    edges = game.graph.edges
+    perms = []
+    for perm in itertools.permutations(range(n)):
+        mapped = frozenset(
+            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges
+        )
+        if mapped != edges:
+            continue
+        counted = Counter()
+        for q in game.questions:
+            tbits = [0] * n
+            for j, b in enumerate(q.type_bits):
+                tbits[perm[j]] = b
+            counted[(tuple(tbits), q.weight)] += 1
+        if counted == type_target:
+            perms.append(perm)
+    return SymmetryGroup(tuple(perms))
 
 
 def oracle_nash_interval(table, code, penalty=Fraction(0)):

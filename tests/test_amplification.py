@@ -9,6 +9,7 @@ import pytest
 
 from grapheq import (
     BUILTIN_NAMES,
+    EmptyEquilibriumSetError,
     GameSpec,
     Graph,
     GroupTable,
@@ -19,6 +20,7 @@ from grapheq import (
     best_csw,
     builtin_game,
     enumerate_nash,
+    enumerate_pareto,
     evaluate,
     evaluate_product,
     kfold,
@@ -35,7 +37,7 @@ from grapheq.amplification import (
     product_nash_matrix_bruteforce,
     product_nash_matrix_decomposition,
 )
-from grapheq.classical import code_to_profile
+from grapheq.classical import PayoffTable, code_to_profile
 from helpers import cycle_game, oracle_kfold_csw, toy_two_player_game
 
 PARAMS = PayoffParams(Fraction(2, 3), Fraction(1))
@@ -88,6 +90,59 @@ def test_penalty_best_sw_decreases_linearly():
         if best is not None:
             assert current <= best
         best = current
+
+
+def assert_welfares_match_evaluate(game, params, table):
+    """``best_csw`` and the ``penalty_report`` welfares against every Nash
+    profile rescored by ``evaluate`` in Fractions."""
+    profiles = enumerate_nash(game, params, table=table)
+    rescored = [evaluate(game, p).social_welfare(params) for p in profiles]
+    assert penalty_report(game, params, table=table).social_welfares == tuple(rescored)
+    for p, sw in zip(profiles[:3], rescored):
+        assert table.social_welfare(profile_to_code(p, game.n), params) == sw
+    if not profiles:
+        with pytest.raises(EmptyEquilibriumSetError):
+            best_csw(game, params, table=table)
+        return
+    best = max(rescored)
+    assert best_csw(game, params, table=table) == (
+        best,
+        [p for p, sw in zip(profiles, rescored) if sw == best],
+    )
+
+
+WELFARE_GAMES = [builtin_game(name) for name in BUILTIN_NAMES] + [cycle_game(n) for n in (4, 5, 6)]
+
+
+@pytest.mark.parametrize("game", WELFARE_GAMES, ids=lambda g: g.name)
+def test_integer_welfare_matches_evaluate(game):
+    table = PayoffTable(game)
+    for ratio in (Fraction(1, 6), Fraction(1, 3), Fraction(37, 60), Fraction(2, 3)):
+        for ng in (0, 4):
+            assert_welfares_match_evaluate(game, PayoffParams(ratio, 1, ng), table)
+
+
+def test_integer_welfare_pareto_matches_evaluate():
+    for name in BUILTIN_NAMES:
+        game = builtin_game(name)
+        params = PayoffParams(Fraction(37, 60), 1, 4)
+        profiles = enumerate_pareto(game, params)
+        rescored = {p: evaluate(game, p).social_welfare(params) for p in profiles}
+        best = max(rescored.values())
+        assert best_csw(game, params, "pareto") == (best, [p for p in profiles if rescored[p] == best])
+
+
+def test_integer_welfare_exact_past_int64():
+    # at v1/v0 = 2^59 every utility fits int64, but a Nash row sum does not
+    game = builtin_game("NC00_C5")
+    table = PayoffTable(game)
+    params = PayoffParams(Fraction(1, 2**59), 1)
+    grid, _ = table.utility_grid(params)
+    assert grid.dtype == np.int64
+    nash = [profile_to_code(p, 5) for p in enumerate_nash(game, params, table=table)]
+    assert max(sum(int(u) for u in grid[code]) for code in nash) >= 2**63
+    for ng in (0, 4):
+        assert_welfares_match_evaluate(game, PayoffParams(params.v0, 1, ng), table)
 
 
 # ---------------------------------------------------------------------------

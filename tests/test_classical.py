@@ -4,11 +4,18 @@ import functools
 import random
 from fractions import Fraction
 
+import pytest
+
 from grapheq import (
+    BUILTIN_NAMES,
+    GameSpec,
+    Graph,
     PayoffParams,
+    QuestionSpec,
     advice_correlation,
     best_csw,
     builtin_game,
+    derive_question,
     enumerate_nash,
     enumerate_pareto,
     evaluate,
@@ -23,7 +30,13 @@ from hypothesis import given, settings, strategies as st
 
 from grapheq._reference import NC00_NASH_INTERVALS
 from grapheq.classical import PayoffTable, _player_axis, build_report, code_to_profile, nash_interval
-from helpers import brute_force_sets, cycle_game, oracle_nash_interval, toy_two_player_game
+from helpers import (
+    brute_force_sets,
+    cycle_game,
+    oracle_nash_interval,
+    oracle_reporting_symmetries,
+    toy_two_player_game,
+)
 
 PARAMS = PayoffParams(Fraction(2, 3), Fraction(1))
 THIRD, HALF = Fraction(1, 3), Fraction(1, 2)
@@ -183,6 +196,50 @@ def test_symmetry_toy_games():
     assert game_automorphisms(symmetric).order == 2
     lopsided = toy_two_player_game(Fraction(1, 3), Fraction(2, 3), name="toy2")
     assert game_automorphisms(lopsided).order == 1
+
+
+def path_game(n):
+    """The path 0-1-...-(n-1) with one single-generator question per
+    player, of weight 1/n: its only symmetries are the identity and the
+    reversal."""
+    graph = Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
+    questions = []
+    for i in range(n):
+        der = derive_question(graph, {i})
+        bits = tuple(int(j == i) for j in range(n))
+        questions.append(QuestionSpec(f"T{i}", bits, der.involved, der.parity, Fraction(1, n), frozenset({i})))
+    return GameSpec(f"P{n}", graph, tuple(questions))
+
+
+def skewed_c5():
+    """NC00_C5 with T0 reweighted: the graph keeps all ten automorphisms,
+    but only those fixing player 0 keep the weighted type multiset."""
+    base = builtin_game("NC00_C5")
+    weights = {"Ta": Fraction(1, 6), "T0": Fraction(1, 4)}
+    questions = tuple(
+        QuestionSpec(q.qid, q.type_bits, q.involved, q.parity, weights.get(q.qid, Fraction(7, 48)), q.generator_set)
+        for q in base.questions
+    )
+    return GameSpec("skewed_C5", base.graph, questions)
+
+
+SYMMETRY_GAMES = (
+    [builtin_game(name) for name in BUILTIN_NAMES]
+    + [cycle_game(n) for n in range(4, 9)]
+    + [path_game(5), path_game(6), skewed_c5(), toy_two_player_game()]
+)
+
+
+@pytest.mark.parametrize("game", SYMMETRY_GAMES, ids=lambda g: g.name)
+def test_reporting_symmetries_match_permutation_scan(game):
+    # same permutations in the same lexicographic order
+    assert reporting_symmetries(game) == oracle_reporting_symmetries(game)
+
+
+def test_type_multiset_rejects_graph_automorphisms():
+    group = reporting_symmetries(skewed_c5())
+    assert group.permutations == ((0, 1, 2, 3, 4), (0, 4, 3, 2, 1))
+    assert reporting_symmetries(path_game(6)).permutations == ((0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0))
 
 
 def test_two_player_game_nash_by_hand():

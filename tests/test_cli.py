@@ -118,6 +118,19 @@ def test_duplicate_question_id_exits_3(tmp_path):
     assert "duplicate question id" in err
 
 
+def test_malformed_document_exits_3(tmp_path):
+    base = game_to_document(builtin_game("NC00_C5"), PayoffParams(Fraction(2, 3), Fraction(1)))
+    out_of_range = json.loads(json.dumps(base))
+    out_of_range["questions"][1]["K"] = [7]
+    not_a_list = dict(base, questions=5)
+    for doc in (out_of_range, not_a_list):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli("nash", "--game", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 NASH_ARGS = ("nash", "--game", "NC00_C5", "--v0", "2/3", "--v1", "1")
 
 

@@ -248,6 +248,35 @@ def test_duplicate_question_id_rejected():
         game_from_document(doc)
 
 
+def drop_involved_and_parity(entry):
+    del entry["I"], entry["b"]
+
+
+MALFORMED_EDITS = {
+    "K outside the vertices": lambda doc: doc["questions"][1].update(K=[7]),
+    "K outside, no I or b": lambda doc: (doc["questions"][1].update(K=[7]), drop_involved_and_parity(doc["questions"][1])),
+    "negative K": lambda doc: doc["questions"][1].update(K=[-1]),
+    "I outside, no K": lambda doc: (doc["questions"][1].update(I=[9]), doc["questions"][1].pop("K")),
+    "negative I": lambda doc: doc["questions"][1].update(I=[-1]),
+    "K not a list": lambda doc: doc["questions"][1].update(K=5),
+    "K not integers": lambda doc: doc["questions"][1].update(K="ab"),
+    "I null": lambda doc: doc["questions"][1].update(I=None),
+    "b not an integer": lambda doc: doc["questions"][1].update(b="x"),
+    "questions not a list": lambda doc: doc.update(questions=5),
+    "question not an object": lambda doc: doc["questions"].__setitem__(1, 5),
+    "payoffs not an object": lambda doc: doc.update(payoffs=5),
+    "edge outside the vertices": lambda doc: doc.update(edges=[[0, 9]]),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_EDITS.values(), ids=MALFORMED_EDITS.keys())
+def test_malformed_fields_are_typed_errors(edit):
+    doc = game_to_document(builtin_game("NC00_C5"), PARAMS)
+    edit(doc)
+    with pytest.raises(MalformedDocumentError):
+        game_from_document(doc)
+
+
 def test_payoff_params_validation():
     with pytest.raises(ValueError):
         PayoffParams(Fraction(2), Fraction(1))

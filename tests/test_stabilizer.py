@@ -307,3 +307,80 @@ def test_sample_stays_in_support():
     support = set(law.support())
     for _ in range(50):
         assert law.sample(rng) in support
+
+
+def random_law_constraints(rng, n, kind):
+    """A consistent (matrix, rhs) pair: no rows, zero rows, a full-rank
+    triangular system with shuffled rows, or random rows."""
+    if kind == "empty":
+        matrix = np.zeros((0, n), dtype=np.uint8)
+    elif kind == "zero":
+        matrix = np.zeros((3, n), dtype=np.uint8)
+    elif kind == "full":
+        matrix = np.triu(np.array([[rng.randint(0, 1) for _ in range(n)] for _ in range(n)], dtype=np.uint8))
+        np.fill_diagonal(matrix, 1)
+        matrix = matrix[rng.sample(range(n), n)]
+    else:
+        matrix = np.array(
+            [[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(1, n + 2))], dtype=np.uint8
+        )
+    point = np.array([rng.randint(0, 1) for _ in range(n)], dtype=np.uint8)
+    return matrix, (matrix.astype(int) @ point) % 2
+
+
+@pytest.mark.parametrize("kind", ["empty", "zero", "full", "random"])
+def test_bitmask_law_matches_support_enumeration(kind):
+    rng = random.Random(sum(map(ord, kind)))
+    for _ in range(8 if kind == "random" else 3):
+        n = rng.randint(1, 7)
+        matrix, rhs = random_law_constraints(rng, n, kind)
+        law = OutcomeLaw(n, matrix, rhs)
+        # the support by trying every answer vector against the raw system
+        support = [
+            a for a in itertools.product((0, 1), repeat=n) if np.array_equal((matrix.astype(int) @ a) % 2, rhs)
+        ]
+        assert sorted(law.support()) == support
+        assert law.support_size == len(support)
+        assert law.rank == {"empty": 0, "zero": 0, "full": n}.get(kind, law.rank)
+        assert 2 ** (n - law.rank) == len(support)
+        for a in itertools.product((0, 1), repeat=n):
+            assert law.probability_of(a) == (Fraction(1, len(support)) if a in support else 0)
+        functionals = np.array(
+            [[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(1, 3))], dtype=np.uint8
+        )
+        players = rng.sample(range(n), rng.randint(1, n))
+        image, marginal, parity = {}, {}, {}
+        for a in support:
+            key = tuple(int(b) for b in (functionals.astype(int) @ a) % 2)
+            image[key] = image.get(key, 0) + 1
+            own = tuple(a[p] for p in players)
+            marginal[own] = marginal.get(own, 0) + 1
+            bit = sum(own) % 2
+            parity[bit] = parity.get(bit, 0) + 1
+        for got, counts in (
+            (law.linear_image_distribution(functionals), image),
+            (law.marginal(players), marginal),
+            (law.parity_distribution(players), parity),
+        ):
+            assert got == {k: Fraction(c, len(support)) for k, c in counts.items()}
+
+
+def test_law_is_factored_once_per_constraint_set(monkeypatch):
+    from grapheq import gf2
+
+    law = outcome_law(Graph.cycle(5), ["X", "Z", "Z", "X", "Z"])
+    calls = []
+    nullspace = gf2.nullspace
+    monkeypatch.setattr(gf2, "nullspace", lambda *args: calls.append(args) or nullspace(*args))
+    before = [law.marginal([j]) for j in range(5)] + [law.parity_distribution(range(5))]
+    assert [law.marginal([j]) for j in range(5)] + [law.parity_distribution(range(5))] == before
+    support = set(law.support())
+    assert len(calls) == 1
+    # new constraints are factored again; the arrays cannot be edited in place
+    with pytest.raises(ValueError):
+        law.rhs[0] ^= 1
+    law.rhs = law.rhs ^ 1
+    flipped = set(law.support())
+    assert len(calls) == 2
+    assert len(flipped) == len(support) and not flipped & support
+    assert all(np.array_equal((law.matrix.astype(int) @ a) % 2, law.rhs) for a in flipped)
