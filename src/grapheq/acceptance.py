@@ -323,7 +323,7 @@ def check_kfold_agreement() -> CheckResult:
     brute = product_nash_matrix_bruteforce(game, STANDARD_PARAMS, gt)
     if not np.array_equal(rule, brute):
         problems.append(f"Nash sets differ on {int((rule != brute).sum())} pairs")
-    dec = kfold_best_csw(game, 2, STANDARD_PARAMS, gt=gt, _with_decay=False)
+    dec = kfold_best_csw(game, 2, STANDARD_PARAMS, gt=gt)
     bf = kfold_bruteforce_csw(game, 2, STANDARD_PARAMS, gt=gt)
     if dec.csw != bf.csw:
         problems.append(f"best CSW {dec.csw} (decomposition) != {bf.csw} (brute force)")
@@ -333,7 +333,7 @@ def check_kfold_agreement() -> CheckResult:
         problems.append("factorised and enumerated product perfect-win checks disagree")
     if not factorised:
         problems.append("advice does not win the 10-qubit product surely")
-    csw = [kfold_best_csw(game, k, STANDARD_PARAMS, gt=gt, _with_decay=False).csw for k in (1, 2, 3, 4)]
+    csw = [kfold_best_csw(game, k, STANDARD_PARAMS, gt=gt).csw for k in (1, 2, 3, 4)]
     decays = [csw[i + 1] / csw[i] for i in range(3)]
     if len(set(decays)) != 1:
         problems.append(f"decay factors not constant: {decays}")

@@ -159,8 +159,9 @@ class GroupTable:
 
     For every base profile: the winning-part utility of each player, their
     sum, the win probability, and whether the profile is Nash in the base
-    game.  All values exact: the utility arrays hold Python integers when a
-    player sum could overflow int64.
+    game.  At penalty 0 a utility is its winning part, so ``win_util_num``
+    is the ``utility_grid`` of ``params``.  All values exact: the sums hold
+    Python integers when a row of the grid could overflow int64.
     """
 
     def __init__(self, game: GameSpec, params: PayoffParams, table: PayoffTable | None = None):
@@ -170,19 +171,15 @@ class GroupTable:
         self.params = params
         self.table = table or PayoffTable(game)
         tbl = self.table
-        lden = math.lcm(params.v0.denominator, params.v1.denominator)
-        a0 = int(params.v0 * lden)
-        a1 = int(params.v1 * lden)
-        # win0 + win1 <= scale per entry, so the player sum stays below this
-        dtype = np.int64 if tbl.n * tbl.scale * (a0 + a1) < 2**62 else object
-        win0, win1 = (c.astype(dtype, copy=False) for c in (tbl.win0, tbl.win1))
-        self.win_util_num = win0 * a0 + win1 * a1  # scale: tbl.scale * lden
-        self.util_scale = tbl.scale * lden
+        self.win_util_num, self.util_scale = tbl.utility_grid(params)
         self.pwin_num = tbl.pwin_num  # scale: tbl.scale
         self.pwin_scale = tbl.scale
-        self.sum_util_num = self.win_util_num.sum(axis=1)
-        self.nash = _nash_mask(tbl.utility_grid(params)[0], tbl.n)
+        self.nash = _nash_mask(self.win_util_num, tbl.n)
         self.zero_pwin = self.pwin_num == 0
+        grid = self.win_util_num
+        if tbl.n * int(np.abs(grid).max(initial=0)) >= 2**62:
+            grid = grid.astype(object)
+        self.sum_util_num = grid.sum(axis=1)
 
     def p_win(self, code: int) -> Fraction:
         return Fraction(int(self.pwin_num[code]), self.pwin_scale)
@@ -222,16 +219,15 @@ def product_nash_matrix_bruteforce(game: GameSpec, params: PayoffParams, gt: Gro
     For each pair and each player, every alternative local function is
     scored as an actual product of exact integers (own winning utility times
     the other group's win probability); no group-decomposition rule is
-    assumed.
+    assumed.  Python integers replace int64 when a product could overflow.
     """
     gt = gt or GroupTable(game, params)
     n = game.n
     ncodes = gt.table.ncodes
     win_u = gt.win_util_num
     pw = gt.pwin_num
-    peak = int(np.abs(win_u).max(initial=0)) * int(pw.max(initial=0))
-    if peak >= 2**62:
-        raise SizeLimitError("utility scale too large for the int64 product scan")
+    if int(np.abs(win_u).max(initial=0)) * int(pw.max(initial=0)) >= 2**62:
+        win_u, pw = win_u.astype(object), pw.astype(object)
     viol = np.zeros((ncodes, ncodes), dtype=bool)
     for j in range(n):
         for diff in _deviation_gains(win_u, n, j):
@@ -316,12 +312,7 @@ def _frontier_csw(gt: GroupTable, frontier: list[tuple[int, int]], k: int) -> Fr
 
 
 def kfold_best_csw(
-    game: GameSpec,
-    k: int,
-    params: PayoffParams,
-    *,
-    gt: GroupTable | None = None,
-    _with_decay: bool = True,
+    game: GameSpec, k: int, params: PayoffParams, *, gt: GroupTable | None = None
 ) -> KfoldReport:
     """Best product-Nash social welfare via the group decomposition.
 
@@ -335,7 +326,7 @@ def kfold_best_csw(
     frontier = _candidate_frontier(gt)
     best = _frontier_csw(gt, frontier, k)
     decay = None
-    if k >= 2 and _with_decay:
+    if k >= 2:
         prev = _frontier_csw(gt, frontier, k - 1)
         if prev != 0:
             decay = best / prev

@@ -3,9 +3,10 @@
 Each player picks one of four local functions of their type bit (constant 0,
 constant 1, identity, negation, encoded 0..3).  A profile is coded in base 4
 with player 0 as the most significant digit, and every profile is scanned
-exhaustively: Nash and Pareto sets, symmetry orbits, best social welfare,
-and the breakpoint structure of the equilibrium set as a function of the
-payoff ratio v0/v1.
+exhaustively: Nash sets, Pareto sets in the unilateral reading, symmetry
+orbits, best social welfare, and the breakpoint structure of the
+equilibrium set as a function of the payoff ratio v0/v1, which includes the
+interval of ratios on which each profile is Nash.
 
 Every scan runs on ``_player_axis``, a zero-copy view that puts one player's
 local function on an axis, so each unilateral deviation is a slice.  Values
@@ -245,16 +246,12 @@ def _deviation_gains(values: np.ndarray, n: int, j: int) -> np.ndarray:
     return (own.transpose(1, 0, 2)[:, :, None, :] - own).reshape(LOCAL_FN_COUNT, -1)
 
 
-def _nash_mask(grid: np.ndarray, n: int, strict: bool = False) -> np.ndarray:
-    """Profile codes with no improving unilateral deviation; ``strict`` also
-    rejects ties, so the played function must be the unique best reply."""
+def _nash_mask(grid: np.ndarray, n: int) -> np.ndarray:
+    """Profile codes with no improving unilateral deviation."""
     nash = np.ones(grid.shape[0], dtype=bool)
     for j in range(n):
         own = _player_axis(grid[:, j], n, j)
-        best = own == own.max(axis=1, keepdims=True)
-        if strict:
-            best &= best.sum(axis=1, keepdims=True) == 1
-        _player_axis(nash, n, j)[...] &= best
+        _player_axis(nash, n, j)[...] &= own == own.max(axis=1, keepdims=True)
     return nash
 
 
@@ -285,59 +282,33 @@ def _profiles(mask: np.ndarray, n: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_nash(
-    game: GameSpec,
-    params: PayoffParams,
-    *,
-    strict: bool = False,
-    table: PayoffTable | None = None,
+    game: GameSpec, params: PayoffParams, *, table: PayoffTable | None = None
 ) -> list[tuple[int, ...]]:
     """All profiles with no improving unilateral deviation, in lex order.
 
-    Deviations that merely tie do not break an equilibrium; pass
-    ``strict=True`` to experiment with the strict variant.
+    Deviations that merely tie do not break an equilibrium.
     """
     table = table or PayoffTable(game)
     grid, _ = table.utility_grid(params)
-    return _profiles(_nash_mask(grid, table.n, strict), table.n)
+    return _profiles(_nash_mask(grid, table.n), table.n)
 
 
 def enumerate_pareto(
-    game: GameSpec,
-    params: PayoffParams,
-    *,
-    alternative: bool = False,
-    table: PayoffTable | None = None,
+    game: GameSpec, params: PayoffParams, *, table: PayoffTable | None = None
 ) -> list[tuple[int, ...]]:
     """Profiles where improving unilateral deviations always hurt someone.
 
-    ``alternative=True`` switches to the joint-deviation reading instead:
-    profiles whose utility vector is not Pareto dominated by any other
-    profile.  The unilateral reading is the one that reproduces the
-    reference tables; the alternative is kept for comparison.
+    This unilateral reading, not joint Pareto domination over all profiles,
+    is the one that reproduces the reference tables.
     """
     table = table or PayoffTable(game)
     grid, _ = table.utility_grid(params)
-    if alternative:
-        dominated = [
-            np.any((grid >= grid[code]).all(axis=1) & (grid > grid[code]).any(axis=1))
-            for code in range(table.ncodes)
-        ]
-        return _profiles(~np.array(dominated, dtype=bool), table.n)
     return _profiles(_pareto_mask(grid, table.n), table.n)
 
 
 # ---------------------------------------------------------------------------
 # ratio regimes: the Nash condition of a profile is a finite set of linear
 # inequalities in r = v0/v1, so each profile is Nash on a closed interval
-
-
-def nash_interval(
-    table: PayoffTable, code: int, penalty: Fraction = Fraction(0)
-) -> tuple[Fraction, Fraction] | None:
-    """Closed interval of r = v0/v1 in [0, 1] on which ``code`` is Nash.
-
-    Runs the whole ``ratio_regimes`` pass; for many profiles use its result."""
-    return ratio_regimes(table.game, penalty, table).intervals.get(code)
 
 
 @dataclass(frozen=True)

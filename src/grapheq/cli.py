@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -46,7 +45,6 @@ from .quantum import (
 )
 
 INPUT_EXIT = 3  # argparse itself exits 2 on usage errors
-THREADS_HELP = "accepted and ignored (default: GRAPHEQ_THREADS, else 1); every scan runs in one process"
 
 
 def _load_game(selector: str) -> tuple[GameSpec, PayoffParams | None]:
@@ -394,6 +392,11 @@ def _cmd_players_needed(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    names = [c.__name__.removeprefix("check_").replace("_", "-") for c in acceptance.ALL_CHECKS]
+    wanted = None if args.checks is None else set(args.checks.split(","))
+    if wanted is not None and not wanted <= set(names):
+        unknown = ", ".join(sorted(wanted - set(names)))
+        raise GameError(f"unknown check(s): {unknown}; valid checks: {', '.join(names)}")
     failures = 0
 
     def emit(result):
@@ -415,26 +418,10 @@ def _cmd_verify(args) -> int:
             emit(acceptance.CheckResult("game-file", ok, detail))
         except GameError as exc:
             emit(acceptance.CheckResult("game-file", False, str(exc)))
-    wanted = None if args.checks is None else set(args.checks.split(","))
-    for check in acceptance.ALL_CHECKS:
-        name = check.__name__.removeprefix("check_").replace("_", "-")
-        if wanted is not None and name not in wanted:
-            continue
-        emit(check())
+    for check, name in zip(acceptance.ALL_CHECKS, names):
+        if wanted is None or name in wanted:
+            emit(check())
     return 1 if failures else 0
-
-
-def _check_threads(flag: int | None) -> None:
-    """The worker count is accepted and ignored, but must name a worker."""
-    source, raw = "--threads", flag
-    if flag is None:
-        source, raw = "GRAPHEQ_THREADS", os.environ.get("GRAPHEQ_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise GameError(f"{source} must be an integer, got {raw!r}") from None
-    if count < 1:
-        raise GameError(f"{source} must be at least 1, got {count}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_params=True):
         p.add_argument("--game", required=True, help="builtin name or path to a game JSON file")
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        p.add_argument("--threads", type=int, help=THREADS_HELP)
         if with_params:
             p.add_argument("--v0", help='rational "p/q"')
             p.add_argument("--v1", help='rational "p/q"')
@@ -470,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help='target ratio "p/q"')
     p = sub.add_parser("verify", help="run the full verification suite")
     p.add_argument("--game", help="optionally validate a game file first")
-    p.add_argument("--threads", type=int, help=THREADS_HELP)
     p.add_argument("--checks", help="comma-separated subset of check names to run")
     return parser
 
@@ -491,7 +476,6 @@ def main(argv=None) -> int:
         "verify": lambda: _cmd_verify(args),
     }
     try:
-        _check_threads(args.threads)
         return handlers[args.command]()
     except GameError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -92,19 +92,6 @@ def reduce_augmented(rows, rhs, width: int) -> tuple[list[int], list[int]] | Non
     return [r & low for r in reduced], [r >> width for r in reduced]
 
 
-def solve(rows, rhs, width: int) -> int | None:
-    """One solution x of row_i . x = rhs_i, free variables zero, or None if
-    the system is inconsistent."""
-    reduced = reduce_augmented(rows, rhs, width)
-    if reduced is None:
-        return None
-    x = 0
-    for row, b in zip(*reduced):
-        if b:
-            x |= row & -row
-    return x
-
-
 def coset(offset: int, basis):
     """Every point offset + span(basis), combinations in lexicographic
     order of the coefficient bits."""

@@ -4,8 +4,9 @@ Each player measures their graph-state qubit in X (type 1) or Z (type 0);
 the joint answer law per question comes from the stabilizer algebra.  This
 module certifies the win-with-probability-1 property, uniform marginals and
 restricted belief invariance, and decides when following the advice is a
-Nash equilibrium, both via the involvement threshold and via an exhaustive
-scan over local post-processing deviations.
+Nash equilibrium twice, via the involvement threshold and via an exhaustive
+scan over local post-processing deviations; ``is_quantum_nash`` requires
+the two answers to agree.
 
 The exhaustive scan runs on one deviation table per game: for every player
 and question, the exact law of (own advice bit, parity of the other involved
@@ -258,26 +259,23 @@ def deviation_payoff_coefficients(
     return Fraction(c0, 4 * weight_scale), Fraction(c1, 4 * weight_scale)
 
 
-def is_quantum_nash(game: GameSpec, params: PayoffParams, method: str = "both") -> bool:
+def is_quantum_nash(game: GameSpec, params: PayoffParams) -> bool:
     """Is following the advice a Nash equilibrium at these payoffs?
 
-    method "threshold" uses the involvement bound; "exhaustive" scans all 16
-    post-processing policies for every player against the equilibrium
-    utility (v0+v1)/2, in integers over the deviation table.  "both" runs
-    the two and insists they agree.
+    Decided twice, by the involvement bound of ``quantum_threshold`` and by
+    scanning all 16 post-processing policies of every player against the
+    equilibrium utility (v0+v1)/2 in integers over the deviation table; the
+    two must agree.
     """
     if params.penalty != 0:
         raise ValueError("equilibrium test applies to the base game (penalty 0)")
-    results = {}
-    if method in ("threshold", "both"):
-        results["threshold"] = quantum_threshold(game).holds_at(params)
-    if method in ("exhaustive", "both"):
-        results["exhaustive"] = deviation_table(game).advice_is_nash(params.v0, params.v1)
-    if method == "both" and results["threshold"] != results["exhaustive"]:
-        raise RuntimeError(f"threshold and exhaustive deviation tests disagree: {results}")
-    if method not in ("threshold", "exhaustive", "both"):
-        raise ValueError(f"unknown method {method!r}")
-    return results["threshold"] if method != "exhaustive" else results["exhaustive"]
+    threshold = quantum_threshold(game).holds_at(params)
+    exhaustive = deviation_table(game).advice_is_nash(params.v0, params.v1)
+    if threshold != exhaustive:
+        raise RuntimeError(
+            f"threshold ({threshold}) and exhaustive ({exhaustive}) deviation tests disagree"
+        )
+    return threshold
 
 
 def qsw(params: PayoffParams) -> Fraction:

@@ -4,10 +4,10 @@ Products of stabilizer generators, derivation of valid parity questions, and
 the exact joint law of single-qubit X/Z measurements on a graph state.  All
 probabilities are rationals; nothing in this module touches floating point.
 
-Outcome laws are built from neighbourhood bitmasks and factored once: each
-law keeps one point of its support and a null-space basis as Python-int
-bitmasks (``gf2``), so a marginal, parity or image query is a handful of
-ANDs and XORs on that coset.
+Outcome laws are built from neighbourhood bitmasks and factored once, when
+they are constructed: each law keeps one point of its support and a
+null-space basis as Python-int bitmasks (``gf2``), so a marginal, parity or
+image query is a handful of ANDs and XORs on that coset.
 """
 
 from __future__ import annotations
@@ -159,11 +159,11 @@ class OutcomeLaw:
     """Uniform distribution over the affine solution set of M a = c over GF(2).
 
     This is the exact joint law of the answers produced by measuring each
-    qubit of a graph state in its assigned X or Z basis.  ``matrix`` and
-    ``rhs`` hold the reduced constraints as read-only uint8 arrays; the
-    support, one particular point plus a null-space basis as bitmasks (bit j
-    is player j's answer), is factored once on the first query of the
-    current constraints and reused by every later one.
+    qubit of a graph state in its assigned X or Z basis.  The constraints
+    are reduced and the support factored once, at construction: one point
+    plus a null-space basis, as bitmasks (bit j is player j's answer), which
+    every query reuses.  The read-only properties ``matrix`` and ``rhs``
+    give the reduced constraints as uint8 arrays.
     """
 
     def __init__(self, n: int, matrix, rhs):
@@ -184,51 +184,38 @@ class OutcomeLaw:
         reduced = gf2.reduce_augmented(rows, rhs, self.n)
         if reduced is None:
             raise InconsistentLawError("parity constraints are inconsistent")
-        self.matrix = gf2.to_matrix(reduced[0], self.n)
-        self.rhs = np.array(reduced[1], dtype=np.uint8)
+        self._rows, self._bits = reduced
+        # each reduced row owns its pivot column, so setting every pivot to
+        # its row's parity, free columns zero, solves the system
+        self._particular = 0
+        for row, b in zip(*reduced):
+            if b:
+                self._particular |= row & -row
+        self._basis = gf2.nullspace(self._rows, self.n)
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    @matrix.setter
-    def matrix(self, value) -> None:
-        self._matrix = _read_only(value)
-        self._factors = None
+        return gf2.to_matrix(self._rows, self.n)
 
     @property
     def rhs(self) -> np.ndarray:
-        return self._rhs
-
-    @rhs.setter
-    def rhs(self, value) -> None:
-        self._rhs = _read_only(value)
-        self._factors = None
+        return np.array(self._bits, dtype=np.uint8)
 
     @property
     def rank(self) -> int:
-        return self.matrix.shape[0]
+        return len(self._rows)
 
     @property
     def support_size(self) -> int:
         return 2 ** (self.n - self.rank)
 
-    def _support_basis(self) -> tuple[int, list[int]]:
-        """One point of the support and a basis of its direction, as masks."""
-        if self._factors is None:
-            rows = gf2.pack_rows(self.matrix, self.n)
-            particular = gf2.solve(rows, self.rhs.tolist(), self.n)
-            if particular is None:
-                raise InconsistentLawError("parity constraints are inconsistent")
-            self._factors = particular, gf2.nullspace(rows, self.n)
-        return self._factors
-
     def probability_of(self, answer) -> Fraction:
         """Exact probability of a full answer vector."""
-        a = np.asarray(list(answer), dtype=np.uint8) & 1
-        if a.shape != (self.n,):
+        answer = list(answer)
+        if len(answer) != self.n:
             raise ValueError(f"answer must have length {self.n}")
-        if np.any(((self.matrix @ a) & 1) != self.rhs):
+        a = gf2.pack(answer)
+        if any((row & a).bit_count() & 1 != b for row, b in zip(self._rows, self._bits)):
             return Fraction(0)
         return Fraction(1, self.support_size)
 
@@ -241,15 +228,13 @@ class OutcomeLaw:
         returned as (offset, reduced basis): each of its points has
         probability 2**-len(basis).
         """
-        particular, basis = self._support_basis()
-
         def image(x):
             point = 0
             for i, m in enumerate(masks):
                 point |= ((m & x).bit_count() & 1) << i
             return point
 
-        return image(particular), gf2.rref(map(image, basis))[0]
+        return image(self._particular), gf2.rref(map(image, self._basis))[0]
 
     def _image_distribution(self, masks) -> dict[tuple[int, ...], Fraction]:
         offset, span = self.image_coset(masks)
@@ -281,25 +266,16 @@ class OutcomeLaw:
         """Iterate all answer vectors of positive probability (small n only)."""
         if self.n - self.rank > 24:
             raise ValueError("support too large to enumerate")
-        particular, basis = self._support_basis()
-        for point in gf2.coset(particular, basis):
+        for point in gf2.coset(self._particular, self._basis):
             yield gf2.unpack(point, self.n)
 
     def sample(self, rng) -> tuple[int, ...]:
         """Draw one answer vector.  Demo helper; analyses never sample."""
-        point, basis = self._support_basis()
-        for row in basis:
+        point = self._particular
+        for row in self._basis:
             if rng.random() < 0.5:
                 point ^= row
         return gf2.unpack(point, self.n)
-
-
-def _read_only(value) -> np.ndarray:
-    """A uint8 copy that cannot be edited in place, so a cached
-    factorisation never outlives the constraints it was built from."""
-    arr = np.array(value, dtype=np.uint8)
-    arr.flags.writeable = False
-    return arr
 
 
 def outcome_law(graph: Graph, bases) -> OutcomeLaw:

@@ -69,7 +69,7 @@ def oracle_reporting_symmetries(game):
     return SymmetryGroup(tuple(perms))
 
 
-def oracle_nash_interval(table, code, penalty=Fraction(0)):
+def oracle_profile_interval(table, code, penalty=Fraction(0)):
     """Closed interval of r = v0/v1 in [0, 1] on which ``code`` is Nash.
 
     The per-profile Fraction loop the vectorised ``ratio_regimes`` replaced,
@@ -111,7 +111,7 @@ def profile_evaluations(game):
 
 
 def brute_force_sets(game, params):
-    """Nash, strict Nash and unilateral-Pareto profiles from ``evaluate``.
+    """Nash and unilateral-Pareto profiles from ``evaluate``.
 
     Every profile is scored in Fractions and every unilateral deviation is
     built by replacing one entry of the profile tuple, so nothing here
@@ -119,7 +119,7 @@ def brute_force_sets(game, params):
     """
     n = game.n
     utils = {p: ev.utilities(params) for p, ev in profile_evaluations(game).items()}
-    sets = {"nash": [], "strict": [], "pareto": []}
+    sets = {"nash": [], "pareto": []}
     for p, base in utils.items():
         gains = [
             (j, utils[p[:j] + (g,) + p[j + 1 :]])
@@ -129,8 +129,6 @@ def brute_force_sets(game, params):
         ]
         if all(dev[j] <= base[j] for j, dev in gains):
             sets["nash"].append(p)
-        if all(dev[j] < base[j] for j, dev in gains):
-            sets["strict"].append(p)
         if all(
             dev[j] <= base[j] or any(dev[k] < base[k] for k in range(n) if k != j)
             for j, dev in gains

@@ -239,7 +239,7 @@ def test_kfold_zero_factor_verification_mode():
 def test_kfold_decay_factor_constant():
     game = builtin_game("NC00_C5")
     gt = GroupTable(game, PARAMS)
-    csw = [kfold_best_csw(game, k, PARAMS, gt=gt, _with_decay=False).csw for k in (1, 2, 3, 4)]
+    csw = [kfold_best_csw(game, k, PARAMS, gt=gt).csw for k in (1, 2, 3, 4)]
     decays = [csw[i + 1] / csw[i] for i in range(3)]
     assert decays == [Fraction(5, 6)] * 3
     report = kfold_best_csw(game, 2, PARAMS, gt=gt)
@@ -397,12 +397,13 @@ TINY_V0 = (Fraction(1, 2**61), Fraction(1, 2**70))
 
 
 def test_group_table_exact_past_int64():
-    # v1/v0 = 2^61 or 2^70 puts the scaled utilities past int64
+    # v1/v0 = 2^61 or 2^70 puts the scaled utilities past int64; at 2^59
+    # every utility fits, but a player sum does not
     game = builtin_game("NC00_C5")
-    for v0 in TINY_V0:
+    for v0, dtype in [(Fraction(1, 2**59), np.int64)] + [(v0, object) for v0 in TINY_V0]:
         params = PayoffParams(v0, Fraction(1))
         gt = GroupTable(game, params)
-        assert gt.win_util_num.dtype == object
+        assert gt.win_util_num.dtype == dtype
         value, _ = best_csw(game, params)
         assert kfold_best_csw(game, 1, params, gt=gt).csw == value
         for code in (0, 341, 1023):
@@ -431,3 +432,12 @@ def test_kfold_bruteforce_exact_near_int64():
     assert gt.sum_util_num.dtype == np.int64
     bf = kfold_bruteforce_csw(game, 2, params, gt=gt)
     assert bf.csw == kfold_best_csw(game, 2, params, gt=gt).csw == oracle_kfold_csw(gt, 2)
+    # here the utilities fit int64, but a deviation gain times a win
+    # probability does not: the pair scan runs on Python integers
+    for name, exponent in (("NC00_C5", 59), ("NC000_C5", 58)):
+        game = builtin_game(name)
+        params = PayoffParams(Fraction(1, 2**exponent), Fraction(1))
+        gt = GroupTable(game, params)
+        assert gt.win_util_num.dtype == np.int64
+        brute = product_nash_matrix_bruteforce(game, params, gt)
+        assert np.array_equal(brute, product_nash_matrix_decomposition(gt))

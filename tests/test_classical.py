@@ -29,11 +29,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from grapheq._reference import NC00_NASH_INTERVALS
-from grapheq.classical import PayoffTable, _player_axis, build_report, code_to_profile, nash_interval
+from grapheq.classical import PayoffTable, _player_axis, build_report, code_to_profile
 from helpers import (
     brute_force_sets,
     cycle_game,
-    oracle_nash_interval,
+    oracle_profile_interval,
     oracle_reporting_symmetries,
     toy_two_player_game,
 )
@@ -107,13 +107,13 @@ def test_nash_fixed_params_matches_interval_membership():
         assert codes == want
 
 
-def test_nash_interval_reference_rows():
+def test_regime_interval_reference_rows():
     game = builtin_game("NC00_C5")
-    table = PayoffTable(game)
+    intervals = ratio_regimes(game).intervals
     for profile, (lo, hi) in NC00_NASH_INTERVALS.items():
-        assert nash_interval(table, profile_to_code(profile, 5)) == (lo, hi)
+        assert intervals[profile_to_code(profile, 5)] == (lo, hi)
     # a profile listed in no regime must be Nash nowhere or on a sub-interval
-    assert nash_interval(table, profile_to_code((2, 2, 2, 2, 2), 5)) is None
+    assert profile_to_code((2, 2, 2, 2, 2), 5) not in intervals
 
 
 def test_breakpoint_sets_are_unions_of_neighbors():
@@ -157,10 +157,8 @@ def test_all_none_profile_never_nash_in_nc01():
     they answered 1, turns the all-ones question into a win, loses one
     question, and converts two value-v0 wins into value-v1 wins.
     """
-    game = builtin_game("NC01_C5")
-    table = PayoffTable(game)
-    span = nash_interval(table, profile_to_code((3,) * 5, 5))
-    assert span == (Fraction(1), Fraction(1))
+    intervals = ratio_regimes(builtin_game("NC01_C5")).intervals
+    assert intervals[profile_to_code((3,) * 5, 5)] == (Fraction(1), Fraction(1))
 
 
 def test_automorphism_orders():
@@ -269,15 +267,6 @@ def test_nash_subset_of_pareto():
             assert nash <= pareto
 
 
-def test_pareto_alternative_definition_differs():
-    # the joint-domination reading does not reproduce the frozen counts
-    game = builtin_game("NC00_C5")
-    primary = enumerate_pareto(game, PayoffParams(Fraction(1, 6), Fraction(1)))
-    alt = enumerate_pareto(game, PayoffParams(Fraction(1, 6), Fraction(1)), alternative=True)
-    assert len(primary) == 121
-    assert len(alt) != len(primary)
-
-
 def test_pareto_sets_constant_inside_regimes():
     # two interior sample points per ratio interval give identical sets
     game = builtin_game("NC00_C5")
@@ -299,13 +288,6 @@ def test_enumeration_order_is_lexicographic():
     assert nash == sorted(nash)
     pareto = enumerate_pareto(game, PARAMS)
     assert pareto == sorted(pareto)
-
-
-def test_strict_mode_is_a_subset():
-    game = builtin_game("NC00_C5")
-    weak = set(enumerate_nash(game, PARAMS))
-    strict = set(enumerate_nash(game, PARAMS, strict=True))
-    assert strict <= weak
 
 
 def test_best_csw_values_and_argmax():
@@ -373,13 +355,12 @@ def _table(name):
 def _assert_kernel_matches_oracles(game, table, params):
     sets = brute_force_sets(game, params)
     assert enumerate_nash(game, params, table=table) == sets["nash"]
-    assert enumerate_nash(game, params, strict=True, table=table) == sets["strict"]
     assert enumerate_pareto(game, params, table=table) == sets["pareto"]
     regimes = ratio_regimes(game, params.penalty, table)
     oracle = {
         c: span
         for c in range(table.ncodes)
-        if (span := oracle_nash_interval(table, c, params.penalty)) is not None
+        if (span := oracle_profile_interval(table, c, params.penalty)) is not None
     }
     assert regimes.intervals == oracle
     on = sorted(code_to_profile(c, game.n) for c, (lo, hi) in oracle.items() if lo <= params.ratio <= hi)

@@ -81,6 +81,16 @@ def test_kfold_bruteforce_agrees():
     assert json.loads(dec)["csw"] == json.loads(bf)["csw"]
 
 
+def test_kfold_bruteforce_agrees_past_int64():
+    # v1/v0 = 2^58: the k=2 deviation products no longer fit int64, so the
+    # brute force scans Python integers instead of refusing
+    args = ("kfold", "--game", "NC00_C5", "--k", "2", "--v0", f"1/{2**58}", "--v1", "1")
+    dec = run_cli(*args)
+    bf = run_cli(*args, "--method", "bruteforce")
+    assert (dec[0], dec[2], bf[0], bf[2]) == (0, "", 0, "")
+    assert json.loads(bf[1])["csw"] == json.loads(dec[1])["csw"] == "612489549322387457/1297036692682702848"
+
+
 def test_kfold_rejects_k_below_one():
     for k in ("0", "-2"):
         code, out, err = run_cli("kfold", "--game", "NC00_C5", "--k", k, "--v0", "2/3", "--v1", "1")
@@ -129,38 +139,6 @@ def test_malformed_document_exits_3(tmp_path):
         code, out, err = run_cli("nash", "--game", str(path))
         assert (code, out) == (3, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
-
-
-NASH_ARGS = ("nash", "--game", "NC00_C5", "--v0", "2/3", "--v1", "1")
-
-
-def test_threads_is_accepted_and_ignored(monkeypatch):
-    plain = run_cli(*NASH_ARGS)
-    assert plain[0] == 0
-    assert run_cli(*NASH_ARGS, "--threads", "2") == plain
-    monkeypatch.setenv("GRAPHEQ_THREADS", "4")
-    assert run_cli(*NASH_ARGS) == plain
-
-
-def test_threads_below_one_exit_3():
-    for count in ("0", "-3"):
-        for argv in (NASH_ARGS, ("verify", "--checks", "nash-counts")):
-            code, out, err = run_cli(*argv, "--threads", count)
-            assert (code, out) == (3, "")
-            assert err == f"error: --threads must be at least 1, got {count}\n"
-
-
-def test_threads_env_must_be_a_positive_integer(monkeypatch):
-    for raw in ("abc", "2.5", ""):
-        monkeypatch.setenv("GRAPHEQ_THREADS", raw)
-        code, out, err = run_cli(*NASH_ARGS)
-        assert (code, out) == (3, "")
-        assert err == f"error: GRAPHEQ_THREADS must be an integer, got {raw!r}\n"
-    monkeypatch.setenv("GRAPHEQ_THREADS", "0")
-    assert run_cli(*NASH_ARGS)[0] == 3
-    # an explicit flag overrides the environment
-    monkeypatch.setenv("GRAPHEQ_THREADS", "abc")
-    assert run_cli(*NASH_ARGS, "--threads", "1")[0] == 0
 
 
 def test_players_needed_json():
@@ -236,6 +214,18 @@ def test_verify_subset_passes():
     assert len(lines) == 2
     assert lines[0].startswith("PASS nash-counts")
     assert lines[1].startswith("PASS win-oracle")
+
+
+def test_verify_unknown_check_exits_3():
+    for checks in ("nash-count", "nash-counts,win_oracle"):
+        code, out, err = run_cli("verify", "--checks", checks)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert err == (
+            f"error: unknown check(s): {checks.split(',')[-1]}; valid checks: nash-counts, "
+            "nash-reference-table, equilibrium-reference-tables, social-welfare, quantum-guarantees, "
+            "quantum-thresholds, penalty-equilibria, kfold-agreement, player-scaling, win-oracle\n"
+        )
 
 
 def test_verify_corrupted_game_file_exits_1(tmp_path):

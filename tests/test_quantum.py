@@ -129,11 +129,10 @@ def test_methods_agree_on_grid():
     # spot grid here; the full 101-point sweep runs in the acceptance suite
     for name in ("NC00_C5", "NC01_C5"):
         game = builtin_game(name)
+        threshold, table = quantum_threshold(game), deviation_table(game)
         for i in range(0, 101, 10):
             r = Fraction(i, 100)
-            a = is_quantum_nash(game, PayoffParams(r, Fraction(1)), method="threshold")
-            b = is_quantum_nash(game, PayoffParams(r, Fraction(1)), method="exhaustive")
-            assert a == b
+            assert threshold.holds_at(PayoffParams(r, Fraction(1))) == table.advice_is_nash(r, Fraction(1))
 
 
 def test_deviation_witness_below_threshold():
@@ -196,7 +195,7 @@ def test_integer_deviation_scan_matches_fraction_comparison():
                 want = all(c0 * v0 + c1 * v1 <= (v0 + v1) / 2 for c0, c1 in coeff)
                 assert table.advice_is_nash(v0, v1) == want, (name, v0, v1)
                 params = PayoffParams(v0, v1)
-                assert is_quantum_nash(game, params, method="exhaustive") == want
+                assert is_quantum_nash(game, params) == want
 
 
 def test_deviation_policy_must_be_four_bits():
