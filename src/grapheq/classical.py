@@ -9,12 +9,17 @@ equilibrium set as a function of the payoff ratio v0/v1, which includes the
 interval of ratios on which each profile is Nash.
 
 Every scan runs on ``_player_axis``, a zero-copy view that puts one player's
-local function on an axis, so each unilateral deviation is a slice.  Values
-are exact integers (Python integers where int64 could overflow); no float
-decides anything.  Social welfare is one integer row sum per selected
-profile (``PayoffTable.welfare_nums``), turned into a Fraction only for an
-answer.  Reporting symmetries come from a backtracking search that extends
-a partial player map only while it preserves adjacency and degree.
+local function on an axis, so each unilateral deviation is a slice.  The
+``PayoffTable`` is one integer kernel: win bits from n broadcast XORs, then
+one contraction per player and answer on the same view.  Its four coefficient
+arrays are stored player-major in the smallest signed dtype that holds the
+weight scale (int8 for every builtin and cycle game), and are cast to int64
+or Python integers before any product.  Values are exact integers (Python
+integers where int64 could overflow); no float decides anything.  Social
+welfare is one integer row sum per selected profile
+(``PayoffTable.welfare_nums``), turned into a Fraction only for an answer.
+Reporting symmetries come from a backtracking search that extends a partial
+player map only while it preserves adjacency and degree.
 """
 
 from __future__ import annotations
@@ -112,12 +117,37 @@ def evaluate(game: GameSpec, profile) -> ProfileEvaluation:
     return ProfileEvaluation(profile, payoffs, tuple(win_bits), p_win)
 
 
+def _entry_dtype(scale: int) -> np.dtype:
+    """Smallest signed integer dtype that holds ``scale``; Python integers
+    (object) from 2^62 on, where int64 sums could overflow."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if scale <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64 if scale < 2**62 else object)
+
+
 class PayoffTable:
     """Integer-scaled payoff coefficients for every profile of a game.
 
     Weights are brought over the common denominator ``scale`` so the four
-    coefficient arrays hold exact integers; Fractions are reconstructed on
-    access.  Used by every enumeration path.
+    coefficient arrays ``win0``, ``win1``, ``lose0`` and ``lose1`` hold
+    exact integers in [0, scale], indexed ``[code, player]``; Fractions are
+    reconstructed on access.  Used by every enumeration path.
+
+    The build is one integer kernel.  The win bit of every question and
+    profile comes from n broadcast XORs over a ``(Q, 4, ..., 4)`` array,
+    one axis per player's local function; ``pwin_num`` is the weight
+    vector times those bits.  For player j, the weight won with answer x is
+    one contraction of the bits on the ``_player_axis`` view against the
+    weights of the questions where each local function answers x, and the
+    weight lost with x is the total weight answered x minus that.
+
+    Each coefficient array is stored player-major, as ``(n, 4^n)``, and
+    exposed transposed, so each player's column is contiguous.  Entries use
+    the smallest signed dtype that holds ``scale`` (int8 for every builtin
+    and cycle game), so the difference of two entries is still exact;
+    Python integers replace int64 from ``scale`` >= 2^62 on.  Callers cast
+    to int64 or object before they multiply.
     """
 
     def __init__(self, game: GameSpec):
@@ -134,30 +164,38 @@ class PayoffTable:
         self.weight_nums = [
             q.weight.numerator * (self.scale // q.weight.denominator) for q in game.questions
         ]
-        codes = np.arange(self.ncodes, dtype=np.int64)
-        answer_lut = np.array(_ANSWER, dtype=np.uint8)
-        digits = [((codes >> (2 * (n - 1 - j))) & 3).astype(np.uint8) for j in range(n)]
-        self.win0 = np.zeros((self.ncodes, n), dtype=np.int64)
-        self.win1 = np.zeros((self.ncodes, n), dtype=np.int64)
-        self.lose0 = np.zeros((self.ncodes, n), dtype=np.int64)
-        self.lose1 = np.zeros((self.ncodes, n), dtype=np.int64)
-        self.win_bits = np.zeros((self.ncodes, len(game.questions)), dtype=bool)
-        self.pwin_num = np.zeros(self.ncodes, dtype=np.int64)
-        for qi, q in enumerate(game.questions):
-            answers = [answer_lut[digits[j], q.type_bits[j]] for j in range(n)]
-            parity = np.zeros(self.ncodes, dtype=np.uint8)
-            for j in q.involved:
-                parity ^= answers[j]
-            win = parity == q.parity
-            w = self.weight_nums[qi]
-            self.win_bits[:, qi] = win
-            self.pwin_num += np.where(win, w, 0)
-            for j in range(n):
-                one = answers[j].astype(bool)
-                self.win0[:, j] += np.where(win & ~one, w, 0)
-                self.win1[:, j] += np.where(win & one, w, 0)
-                self.lose0[:, j] += np.where(~win & ~one, w, 0)
-                self.lose1[:, j] += np.where(~win & one, w, 0)
+        nq = len(game.questions)
+        dtype = _entry_dtype(self.scale)
+        weights = np.array(self.weight_nums, dtype=dtype)
+        # answers[q, j, f]: player j's answer to question q under local function f
+        answers = np.array(
+            [[[_ANSWER[f][t] for f in range(LOCAL_FN_COUNT)] for t in q.type_bits] for q in game.questions],
+            dtype=np.uint8,
+        )
+        involved = np.array([[j in q.involved for j in range(n)] for q in game.questions], dtype=np.uint8)
+        played = answers * involved[:, :, None]  # the answers that enter the parity
+        # parity of the played answers, with one axis per player's local function
+        parity = np.zeros((nq,) + (LOCAL_FN_COUNT,) * n, dtype=np.uint8)
+        for j in range(n):
+            axes = [nq] + [1] * n
+            axes[1 + j] = LOCAL_FN_COUNT
+            parity ^= played[:, j].reshape(axes)
+        targets = np.array([q.parity for q in game.questions], dtype=np.uint8)
+        win = (parity == targets.reshape((nq,) + (1,) * n)).reshape(nq, self.ncodes)
+        self.win_bits = win.T
+        self.pwin_num = weights.astype(np.int64 if self.scale < 2**62 else object) @ win
+        bits = win.view(np.int8).T
+        coefficients = [np.empty((n, self.ncodes), dtype=dtype) for _ in range(4)]
+        win0, win1, lose0, lose1 = coefficients
+        for j in range(n):
+            by_fn = _player_axis(bits, n, j)  # [hi, f, lo, q]
+            for won, lost, answer in ((win0, lose0, 0), (win1, lose1, 1)):
+                # weight of each question on which local function f answers ``answer``
+                answered = weights * (answers[:, j].T == answer)
+                own = _player_axis(won[j], n, j)
+                np.einsum("hflq,fq->hfl", by_fn, answered, out=own)
+                _player_axis(lost[j], n, j)[...] = answered.sum(axis=1, dtype=dtype)[:, None] - own
+        self.win0, self.win1, self.lose0, self.lose1 = (c.T for c in coefficients)
 
     def payoff(self, code: int, player: int) -> LinearPayoff:
         key = tuple(int(c[code, player]) for c in (self.win0, self.win1, self.lose0, self.lose1))
@@ -364,10 +402,10 @@ def ratio_regimes(
     cap = (pd + abs(pn)) * table.scale
     keyed = cap + 1
     dtype = np.int64 if (keyed + 1) ** 2 < 2**62 else object
-    win0, win1, lose0, lose1 = (
-        c.astype(dtype, copy=False) for c in (table.win0, table.win1, table.lose0, table.lose1)
+    slope, offset = (
+        pd * won.astype(dtype) - pn * lost.astype(dtype)
+        for won, lost in ((table.win0, table.lose0), (table.win1, table.lose1))
     )
-    slope, offset = pd * win0 - pn * lose0, pd * win1 - pn * lose1
 
     def bounds_of(j):
         """a and b of player j's deviations, where a != 0, and there the key

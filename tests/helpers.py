@@ -8,7 +8,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from grapheq import GameSpec, Graph, QuestionSpec, SizeLimitError, derive_question, evaluate
+from grapheq import (
+    GameSpec,
+    Graph,
+    PayoffParams,
+    QuestionSpec,
+    SizeLimitError,
+    builtin_game,
+    derive_question,
+    evaluate,
+    game_to_document,
+)
 from grapheq.classical import SymmetryGroup
 
 
@@ -40,6 +50,16 @@ def cycle_game(n):
     return GameSpec(f"C{n}", graph, tuple(questions))
 
 
+def scaled_document(scale):
+    """NC00_C5 as a game document (v0/v1 = 2/3) whose weights have lowest
+    common denominator ``scale`` >= 6: Ta and T1..T4 weigh 1/scale each and
+    T0 takes the rest."""
+    doc = game_to_document(builtin_game("NC00_C5"), PayoffParams(Fraction(2, 3), Fraction(1)))
+    for q in doc["questions"]:
+        q["w"] = f"{scale - 5}/{scale}" if q["id"] == "T0" else f"1/{scale}"
+    return doc
+
+
 def oracle_reporting_symmetries(game):
     """Permutations preserving the graph and the weighted type multiset.
 
@@ -69,6 +89,52 @@ def oracle_reporting_symmetries(game):
     return SymmetryGroup(tuple(perms))
 
 
+def oracle_payoff_table(game):
+    """``win0``, ``win1``, ``lose0``, ``lose1``, ``win_bits`` and
+    ``pwin_num`` of ``PayoffTable(game)``, as int64 (Python ints from a
+    scale of 2^62) and bool arrays.
+
+    The per-question, per-player loop of full-length passes that the
+    contraction kernel replaced, kept as its independent oracle.  Only
+    the masked weight changed: ``mask * w`` in place of
+    ``np.where(mask, w, 0)``, so that Python integers hold the values when
+    the scale reaches 2^62.
+    """
+    n = game.n
+    ncodes = 4**n
+    scale = math.lcm(*(q.weight.denominator for q in game.questions))
+    weight_nums = [q.weight.numerator * (scale // q.weight.denominator) for q in game.questions]
+    dtype = np.int64 if scale < 2**62 else object
+    codes = np.arange(ncodes, dtype=np.int64)
+    answer_lut = np.array(((0, 0), (1, 1), (0, 1), (1, 0)), dtype=np.uint8)
+    digits = [((codes >> (2 * (n - 1 - j))) & 3).astype(np.uint8) for j in range(n)]
+    win0 = np.zeros((ncodes, n), dtype=dtype)
+    win1 = np.zeros((ncodes, n), dtype=dtype)
+    lose0 = np.zeros((ncodes, n), dtype=dtype)
+    lose1 = np.zeros((ncodes, n), dtype=dtype)
+    win_bits = np.zeros((ncodes, len(game.questions)), dtype=bool)
+    pwin_num = np.zeros(ncodes, dtype=dtype)
+    for qi, q in enumerate(game.questions):
+        answers = [answer_lut[digits[j], q.type_bits[j]] for j in range(n)]
+        parity = np.zeros(ncodes, dtype=np.uint8)
+        for j in q.involved:
+            parity ^= answers[j]
+        win = parity == q.parity
+        w = weight_nums[qi]
+        win_bits[:, qi] = win
+        pwin_num += win.astype(dtype) * w
+        for j in range(n):
+            one = answers[j].astype(bool)
+            win0[:, j] += (win & ~one).astype(dtype) * w
+            win1[:, j] += (win & one).astype(dtype) * w
+            lose0[:, j] += (~win & ~one).astype(dtype) * w
+            lose1[:, j] += (~win & one).astype(dtype) * w
+    return {
+        "win0": win0, "win1": win1, "lose0": lose0, "lose1": lose1,
+        "win_bits": win_bits, "pwin_num": pwin_num,
+    }
+
+
 def oracle_profile_interval(table, code, penalty=Fraction(0)):
     """Closed interval of r = v0/v1 in [0, 1] on which ``code`` is Nash.
 
@@ -87,11 +153,11 @@ def oracle_profile_interval(table, code, penalty=Fraction(0)):
                 continue
             dev = anchor + g * step
             # utility difference (dev - base) = a*r + b must stay <= 0
-            a = Fraction(int(table.win0[dev, j] - table.win0[code, j]), d) - penalty * Fraction(
-                int(table.lose0[dev, j] - table.lose0[code, j]), d
+            a = Fraction(int(table.win0[dev, j]) - int(table.win0[code, j]), d) - penalty * Fraction(
+                int(table.lose0[dev, j]) - int(table.lose0[code, j]), d
             )
-            b = Fraction(int(table.win1[dev, j] - table.win1[code, j]), d) - penalty * Fraction(
-                int(table.lose1[dev, j] - table.lose1[code, j]), d
+            b = Fraction(int(table.win1[dev, j]) - int(table.win1[code, j]), d) - penalty * Fraction(
+                int(table.lose1[dev, j]) - int(table.lose1[code, j]), d
             )
             if a > 0:
                 hi = min(hi, -b / a)

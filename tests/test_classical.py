@@ -20,6 +20,7 @@ from grapheq import (
     enumerate_pareto,
     evaluate,
     game_automorphisms,
+    game_from_document,
     partition_orbits,
     profile_to_code,
     ratio_regimes,
@@ -33,8 +34,10 @@ from grapheq.classical import PayoffTable, _player_axis, build_report, code_to_p
 from helpers import (
     brute_force_sets,
     cycle_game,
+    oracle_payoff_table,
     oracle_profile_interval,
     oracle_reporting_symmetries,
+    scaled_document,
     toy_two_player_game,
 )
 
@@ -386,3 +389,57 @@ def test_overflow_scale_matches_brute_force_and_interval_oracle():
     grid, _ = table.utility_grid(params)
     assert grid.dtype == object
     _assert_kernel_matches_oracles(game, table, params)
+
+
+TABLE_ARRAYS = ("win0", "win1", "lose0", "lose1", "win_bits", "pwin_num")
+
+
+def _assert_table_matches_oracle(table, game):
+    oracle = oracle_payoff_table(game)
+    for name in TABLE_ARRAYS:
+        got = getattr(table, name)
+        assert got.shape == oracle[name].shape, name
+        assert np.array_equal(got, oracle[name]), name
+    # stored player-major: each player's column is contiguous
+    for c in (table.win0, table.win1, table.lose0, table.lose1):
+        assert all(c[:, j].flags.c_contiguous for j in range(table.n))
+
+
+@pytest.mark.parametrize(
+    "game",
+    [builtin_game(name) for name in BUILTIN_NAMES] + [cycle_game(n) for n in range(4, 9)] + [path_game(5)],
+    ids=lambda g: g.name,
+)
+def test_payoff_table_matches_loop_oracle(game):
+    table = PayoffTable(game)
+    assert table.win0.dtype == np.int8 and table.pwin_num.dtype == np.int64
+    _assert_table_matches_oracle(table, game)
+
+
+@pytest.mark.parametrize(
+    "scale, dtype",
+    [
+        (127, np.int8),
+        (128, np.int16),
+        (32767, np.int16),
+        (32768, np.int32),
+        (2**31 - 1, np.int32),
+        (2**31, np.int64),
+        (2**62 - 1, np.int64),
+        (2**62, object),
+        (2**70, object),
+    ],
+)
+def test_payoff_table_dtype_boundaries(scale, dtype):
+    # the smallest signed dtype that holds the scale; Python ints from 2^62
+    game, _ = game_from_document(scaled_document(scale))
+    table = PayoffTable(game)
+    assert table.scale == scale
+    for c in (table.win0, table.win1, table.lose0, table.lose1):
+        assert c.dtype == dtype
+    assert table.pwin_num.dtype == (object if dtype is object else np.int64)
+    _assert_table_matches_oracle(table, game)
+    for code in (0, 341, 682, 1023):
+        ev = evaluate(game, code_to_profile(code, 5))
+        assert tuple(table.payoff(code, j) for j in range(5)) == ev.payoffs
+        assert table.p_win(code) == ev.p_win

@@ -240,3 +240,32 @@ def test_verify_corrupted_game_file_exits_1(tmp_path):
     assert code == 1
     first = out.strip().splitlines()[0]
     assert first.startswith("FAIL game-file")
+
+
+def test_huge_weight_denominators_exit_0(tmp_path):
+    # weights 1/2^70 put the table scale past int64: the table holds
+    # Python ints, and every answer must agree with ``evaluate``
+    from helpers import brute_force_sets, profile_evaluations, scaled_document
+    from grapheq import game_from_document
+
+    doc = scaled_document(2**70)
+    game, params = game_from_document(doc)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    results = {}
+    for command in ("nash", "regimes", "csw"):
+        code, out, err = run_cli(command, "--game", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        results[command] = json.loads(out)
+    nash = brute_force_sets(game, params)["nash"]
+    assert [tuple(e["profile"]) for e in results["nash"]["entries"]] == nash
+    evals = profile_evaluations(game)
+    sw = {p: evals[p].social_welfare(params) for p in nash}
+    best = max(sw.values())
+    assert Fraction(results["csw"]["csw"]) == best
+    assert [tuple(p) for p in results["csw"]["argmax"]] == [p for p in nash if sw[p] == best]
+    (segment,) = [
+        s for s in results["regimes"]["segments"]
+        if Fraction(s["lower"]) < params.ratio < Fraction(s["upper"])
+    ]
+    assert segment["profileCount"] == len(nash)
