@@ -352,12 +352,11 @@ def check_kfold_agreement() -> CheckResult:
 def check_player_scaling() -> CheckResult:
     """k grows linearly in log(1/eps): fit over eps = 10^-1 .. 10^-6."""
     game = builtin_game("NC00_C5")
-    gt = GroupTable(game, STANDARD_PARAMS)
     xs, ks = [], []
     problems = []
     for m in range(1, 7):
         eps = Fraction(1, 10**m)
-        res = players_needed(game, STANDARD_PARAMS, eps, gt=gt)
+        res = players_needed(game, STANDARD_PARAMS, eps)
         if res.achieved_ratio > eps:
             problems.append(f"eps={eps}: ratio {res.achieved_ratio} above target")
         xs.append(math.log(10**m))

@@ -394,21 +394,18 @@ class PlayersNeeded:
     geometric: bool
 
 
-def players_needed(
-    game: GameSpec, params: PayoffParams, eps, *, gt: GroupTable | None = None
-) -> PlayersNeeded:
+def players_needed(game: GameSpec, params: PayoffParams, eps) -> PlayersNeeded:
     """Smallest k with best-classical over quantum SW ratio at most eps.
 
     The decay factor is measured from the decomposition at k = 1, 2 and
     verified at k = 3; when constant, the ratio extrapolates geometrically,
     giving k = O(log(1/eps)).  If the decay were not constant the search
-    would fall back to computing each k directly.  A caller that asks for
-    several eps at the same params can pass one ``gt``.
+    would fall back to computing each k directly.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    gt = gt or GroupTable(game, params)
+    gt = GroupTable(game, params)
     frontier = _candidate_frontier(gt)
     c1 = _frontier_csw(gt, frontier, 1)
     if c1 <= 0:

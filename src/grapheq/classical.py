@@ -12,9 +12,9 @@ Every scan runs on ``_player_axis``, a zero-copy view that puts one player's
 local function on an axis, so each unilateral deviation is a slice.  The
 ``PayoffTable`` is one integer kernel: win bits from n broadcast XORs, then
 one contraction per player and answer on the same view.  Its four coefficient
-arrays are stored player-major in the smallest signed dtype that holds the
-weight scale (int8 for every builtin and cycle game), and are cast to int64
-or Python integers before any product.  Values are exact integers (Python
+arrays are stored player-major in int8 when the weight scale fits (every
+builtin and cycle game), else in int64 (Python integers from a scale of
+2^62), and are cast to int64 or Python integers before any product.  Values are exact integers (Python
 integers where int64 could overflow); no float decides anything.  Social
 welfare is one integer row sum per selected profile
 (``PayoffTable.welfare_nums``), turned into a Fraction only for an answer.
@@ -118,11 +118,10 @@ def evaluate(game: GameSpec, profile) -> ProfileEvaluation:
 
 
 def _entry_dtype(scale: int) -> np.dtype:
-    """Smallest signed integer dtype that holds ``scale``; Python integers
-    (object) from 2^62 on, where int64 sums could overflow."""
-    for dtype in (np.int8, np.int16, np.int32):
-        if scale <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
+    """int8 when it holds ``scale``, else int64; Python integers (object)
+    from 2^62 on, where int64 sums could overflow."""
+    if scale <= np.iinfo(np.int8).max:
+        return np.dtype(np.int8)
     return np.dtype(np.int64 if scale < 2**62 else object)
 
 
@@ -143,11 +142,12 @@ class PayoffTable:
     weight lost with x is the total weight answered x minus that.
 
     Each coefficient array is stored player-major, as ``(n, 4^n)``, and
-    exposed transposed, so each player's column is contiguous.  Entries use
-    the smallest signed dtype that holds ``scale`` (int8 for every builtin
-    and cycle game), so the difference of two entries is still exact;
-    Python integers replace int64 from ``scale`` >= 2^62 on.  Callers cast
-    to int64 or object before they multiply.
+    exposed transposed, so each player's column is contiguous.  Entries are
+    int8 when ``scale`` <= 127 (every builtin and cycle game), else int64,
+    and Python integers (object) from ``scale`` >= 2^62 on.  Signed, so the
+    difference of two entries is still exact.  Arithmetic on whole int8
+    arrays wraps without a warning: callers cast to int64 or object before
+    they multiply.
     """
 
     def __init__(self, game: GameSpec):
@@ -183,7 +183,7 @@ class PayoffTable:
         targets = np.array([q.parity for q in game.questions], dtype=np.uint8)
         win = (parity == targets.reshape((nq,) + (1,) * n)).reshape(nq, self.ncodes)
         self.win_bits = win.T
-        self.pwin_num = weights.astype(np.int64 if self.scale < 2**62 else object) @ win
+        self.pwin_num = weights.astype(object if dtype == object else np.int64) @ win
         bits = win.view(np.int8).T
         coefficients = [np.empty((n, self.ncodes), dtype=dtype) for _ in range(4)]
         win0, win1, lose0, lose1 = coefficients

@@ -373,16 +373,6 @@ def test_players_needed_examples():
         players_needed(game, PARAMS, Fraction(0))
 
 
-def test_players_needed_with_group_table_matches_fresh_build():
-    for name in BUILTIN_NAMES:
-        game = builtin_game(name)
-        for r in (Fraction(1, 6), Fraction(2, 3)):
-            params = PayoffParams(r, Fraction(1))
-            gt = GroupTable(game, params)
-            for eps in (Fraction(1, 10), Fraction(1, 1000)):
-                assert players_needed(game, params, eps, gt=gt) == players_needed(game, params, eps)
-
-
 def test_players_needed_monotone_in_eps():
     game = builtin_game("NC00_C5")
     ks = [players_needed(game, PARAMS, Fraction(1, 10**m)).k for m in range(1, 5)]

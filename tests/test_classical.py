@@ -37,6 +37,7 @@ from helpers import (
     oracle_payoff_table,
     oracle_profile_interval,
     oracle_reporting_symmetries,
+    profile_evaluations,
     scaled_document,
     toy_two_player_game,
 )
@@ -420,18 +421,14 @@ def test_payoff_table_matches_loop_oracle(game):
     "scale, dtype",
     [
         (127, np.int8),
-        (128, np.int16),
-        (32767, np.int16),
-        (32768, np.int32),
-        (2**31 - 1, np.int32),
-        (2**31, np.int64),
+        (128, np.int64),
         (2**62 - 1, np.int64),
         (2**62, object),
         (2**70, object),
     ],
 )
 def test_payoff_table_dtype_boundaries(scale, dtype):
-    # the smallest signed dtype that holds the scale; Python ints from 2^62
+    # int8 while it holds the scale, then int64; Python ints from 2^62
     game, _ = game_from_document(scaled_document(scale))
     table = PayoffTable(game)
     assert table.scale == scale
@@ -443,3 +440,23 @@ def test_payoff_table_dtype_boundaries(scale, dtype):
         ev = evaluate(game, code_to_profile(code, 5))
         assert tuple(table.payoff(code, j) for j in range(5)) == ev.payoffs
         assert table.p_win(code) == ev.p_win
+
+
+def test_int8_entries_at_the_limit_match_evaluate():
+    # entries of 126 sit next to the int8 limit, so every product the
+    # grid, the welfare sums and the regime keys take from them must cast
+    game, params = game_from_document(scaled_document(127))
+    table = PayoffTable(game)
+    coefficients = (table.win0, table.win1, table.lose0, table.lose1)
+    assert all(c.dtype == np.int8 for c in coefficients)
+    assert max(int(c.max()) for c in coefficients) == 126
+    evals = profile_evaluations(game)
+    codes = np.arange(table.ncodes)
+    for p in (params, PayoffParams(Fraction(5, 7), Fraction(3), Fraction(11, 2))):
+        grid, den = table.utility_grid(p)
+        nums, wden = table.welfare_nums(codes, p)
+        for code in codes:
+            utils = evals[code_to_profile(int(code), game.n)].utilities(p)
+            assert tuple(Fraction(int(u), den) for u in grid[code]) == utils
+            assert Fraction(int(nums[code]), wden) == sum(utils)
+        _assert_kernel_matches_oracles(game, table, p)
