@@ -8,6 +8,9 @@ pays only when every group wins; product-profile utilities factor exactly as
 drives both the fast decomposition search and the brute-force oracle it is
 checked against.  The decomposition ranks combinations of base profiles in
 integers over the ``GroupTable`` scales and builds one Fraction per answer.
+The k=2 brute force checks every pair and every deviation with actual
+integer products, scored in row blocks of at most ``_PAIR_BLOCK`` pairs, so
+no 4^n x 4^n integer matrix is built and it reaches 12 players.
 
 The quantum side factorises the same way: the graph state on a disjoint
 union is the tensor product of the per-group states (stabilizers are local
@@ -40,6 +43,10 @@ from .errors import EmptyEquilibriumSetError, SizeLimitError, UnsupportedGameErr
 from .games import GameSpec, PayoffParams
 from .quantum import bases_for_types, qsw
 from .stabilizer import Graph, outcome_law
+
+# pairs per row block of the k=2 brute force: its integer temporaries stay
+# near half a megabyte at any game size
+_PAIR_BLOCK = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +227,8 @@ def product_nash_matrix_bruteforce(game: GameSpec, params: PayoffParams, gt: Gro
     scored as an actual product of exact integers (own winning utility times
     the other group's win probability); no group-decomposition rule is
     assumed.  Python integers replace int64 when a product could overflow.
+    The products are scored in row blocks of at most ``_PAIR_BLOCK``
+    pairs, so only boolean pair matrices are ever whole.
     """
     gt = gt or GroupTable(game, params)
     n = game.n
@@ -228,21 +237,30 @@ def product_nash_matrix_bruteforce(game: GameSpec, params: PayoffParams, gt: Gro
     pw = gt.pwin_num
     if int(np.abs(win_u).max(initial=0)) * int(pw.max(initial=0)) >= 2**62:
         win_u, pw = win_u.astype(object), pw.astype(object)
+    gains = np.concatenate([_deviation_gains(win_u, n, j) for j in range(n)])
     viol = np.zeros((ncodes, ncodes), dtype=bool)
-    for j in range(n):
-        for diff in _deviation_gains(win_u, n, j):
-            # player in the row group deviating against column group's pwin
-            viol |= np.outer(diff, pw) > 0
-    nash = ~viol & ~viol.T
-    return nash
+    for rows in _row_blocks(ncodes):
+        # a player in the row group deviating against the column group's pwin
+        for diff in gains[:, rows]:
+            viol[rows] |= np.multiply.outer(diff, pw) > 0
+    # a pair is Nash when neither group's players can improve
+    viol |= viol.T
+    return np.logical_not(viol, out=viol)
+
+
+def _row_blocks(ncodes: int):
+    """Slices of consecutive rows of an ``ncodes`` x ``ncodes`` pair
+    matrix, each covering at most ``_PAIR_BLOCK`` pairs."""
+    step = max(1, _PAIR_BLOCK // ncodes)
+    return [slice(start, start + step) for start in range(0, ncodes, step)]
 
 
 def kfold_bruteforce_csw(
     game: GameSpec, k: int, params: PayoffParams, *, gt: GroupTable | None = None
 ) -> KfoldReport:
-    """Oracle: exhaustive product-profile search, k <= 2 and k*n <= 10."""
-    if k * game.n > 10:
-        raise SizeLimitError("brute force limited to 10 players")
+    """Oracle: exhaustive product-profile search, k <= 2 and k*n <= 12."""
+    if k * game.n > 12:
+        raise SizeLimitError("brute force limited to 12 players")
     if k > 2:
         raise SizeLimitError("brute force implemented for k <= 2")
     if k == 1:
@@ -255,18 +273,23 @@ def kfold_bruteforce_csw(
         return KfoldReport(1, csw, qsw(params), csw / qsw(params), "bruteforce", None, int(codes.size))
     gt = gt or GroupTable(game, params)
     nash = product_nash_matrix_bruteforce(game, params, gt)
-    if not nash.any():
-        raise EmptyEquilibriumSetError("no product Nash profile")
-    # SW(a,b) = sumU[a]*pwin[b] + sumU[b]*pwin[a], exact integers
+    # SW(a,b) = sumU[a]*pwin[b] + sumU[b]*pwin[a], exact integers, scored
+    # on the Nash pairs of one row block at a time
     sum_u, pw = gt.sum_util_num, gt.pwin_num
     if 2 * int(np.abs(sum_u).max(initial=0)) * int(pw.max(initial=0)) >= 2**62:
         sum_u, pw = sum_u.astype(object), pw.astype(object)
-    cross = np.outer(sum_u, pw)
-    sw_scaled = cross + cross.T
-    best = int(sw_scaled[nash].max())
+    best = None
+    for rows in _row_blocks(gt.table.ncodes):
+        a, b = np.nonzero(nash[rows])
+        if a.size:
+            a += rows.start
+            top = int((sum_u[a] * pw[b] + sum_u[b] * pw[a]).max())
+            best = top if best is None else max(best, top)
+    if best is None:
+        raise EmptyEquilibriumSetError("no product Nash profile")
     csw = Fraction(best, gt.util_scale * gt.pwin_scale * 2 * game.n)
     return KfoldReport(
-        2, csw, qsw(params), csw / qsw(params), "bruteforce", None, int(nash.sum())
+        2, csw, qsw(params), csw / qsw(params), "bruteforce", None, int(np.count_nonzero(nash))
     )
 
 

@@ -73,6 +73,8 @@ class LinearPayoff:
 
     def value(self, params: PayoffParams) -> Fraction:
         win = self.win_v0 * params.v0 + self.win_v1 * params.v1
+        if not params.penalty:
+            return win
         lose = self.lose_v0 * params.v0 + self.lose_v1 * params.v1
         return win - params.penalty * lose
 
@@ -96,25 +98,34 @@ class ProfileEvaluation:
 
 
 def evaluate(game: GameSpec, profile) -> ProfileEvaluation:
-    """Score one profile: per-question win bits and per-player payoff forms."""
+    """Score one profile: per-question win bits and per-player payoff forms.
+
+    Weights are summed as integers over the common denominator of the
+    question weights; one Fraction is built per distinct coefficient.
+    """
     profile = tuple(profile)
     n = game.n
     if len(profile) != n:
         raise ValueError(f"profile must have length {n}")
-    acc = [[Fraction(0)] * 4 for _ in range(n)]  # win0, win1, lose0, lose1
+    scale = math.lcm(*(q.weight.denominator for q in game.questions))
+    acc = [[0] * 4 for _ in range(n)]  # win0, win1, lose0, lose1
     win_bits = []
-    p_win = Fraction(0)
+    p_win = 0
+    answer_rows = [_ANSWER[f] for f in profile]
     for q in game.questions:
-        answers = [apply_local(profile[j], q.type_bits[j]) for j in range(n)]
+        w = q.weight.numerator * (scale // q.weight.denominator)
+        answers = [row[t] for row, t in zip(answer_rows, q.type_bits)]
         win = sum(answers[j] for j in q.involved) % 2 == q.parity
         win_bits.append(int(win))
         if win:
-            p_win += q.weight
+            p_win += w
+        base = 0 if win else 2
         for j in range(n):
-            slot = (0 if win else 2) + answers[j]
-            acc[j][slot] += q.weight
-    payoffs = tuple(LinearPayoff(a[0], a[1], a[2], a[3]) for a in acc)
-    return ProfileEvaluation(profile, payoffs, tuple(win_bits), p_win)
+            acc[j][base + answers[j]] += w
+    # one Fraction per distinct coefficient; most of them repeat
+    exact = {v: Fraction(v, scale) for v in {p_win, *itertools.chain.from_iterable(acc)}}
+    payoffs = tuple(LinearPayoff(*(exact[v] for v in a)) for a in acc)
+    return ProfileEvaluation(profile, payoffs, tuple(win_bits), exact[p_win])
 
 
 def _entry_dtype(scale: int) -> np.dtype:

@@ -6,14 +6,14 @@ g, switching from f to g must not raise that player's expected utility.  The
 maximum social welfare over such distributions is a linear program over the
 4^n profile weights.
 
-The program is built as an integer matrix.  A dense float64 simplex with
-Bland's rule, started from a pure Nash vertex, only proposes an optimal
-basis.  That basis is then proved feasible and optimal in exact arithmetic
-(Applegate, Cook, Dash & Espinoza, Oper. Res. Lett. 2007): the basic
-solution and the dual prices are solved for in Fractions and every reduced
-cost is checked in integers.  If the proof fails, the exact Bland simplex on
-Fractions solves the program from the Nash vertex instead.  No float ever
-decides the returned value.
+The program is built as an integer matrix.  A dense float64 simplex that
+enters the column of largest reduced cost (Dantzig's rule), started from a
+pure Nash vertex, only proposes an optimal basis.  That basis is then
+proved feasible and optimal in exact arithmetic (Applegate, Cook, Dash &
+Espinoza, Oper. Res. Lett. 2007): the basic solution and the dual prices
+are solved for in Fractions and every reduced cost is checked in integers.
+If the proof fails, the exact Bland simplex on Fractions solves the program
+from the Nash vertex instead.  No float ever decides the returned value.
 """
 
 from __future__ import annotations
@@ -45,9 +45,11 @@ def _obedience_matrix(grid: np.ndarray, n: int) -> np.ndarray:
 def _float_basis(objective, ge_rows: np.ndarray, start_col: int) -> list[int] | None:
     """Candidate optimal basis of the program ``_simplex_max`` solves.
 
-    The same tableau and Bland pivots as ``_simplex_max``, in float64 with
-    tolerances.  Returns the basic column of every tableau row, or None when
-    the float run stops without one (unbounded ray or pivot limit).
+    The same tableau as ``_simplex_max``, in float64 with tolerances, but
+    the entering column is the one with the largest reduced cost (Dantzig's
+    rule); ties in the ratio test leave by the smallest basic column.
+    Returns the basic column of every tableau row, or None when the float
+    run stops without one (unbounded ray or pivot limit).
     """
     m, nx = ge_rows.shape
     a = ge_rows.astype(float)
@@ -70,13 +72,12 @@ def _float_basis(objective, ge_rows: np.ndarray, start_col: int) -> list[int] | 
 
     basis = [start_col] + [nx + i for i in range(m)]
     pivot(0, start_col)
-    # Bland's rule cannot cycle in exact arithmetic, but tolerance ties can;
-    # the cap only bounds the float run, and the exact path follows a miss
+    # Dantzig's rule can cycle on a degenerate program; the cap only bounds
+    # the float run, and the exact path follows a miss
     for _ in range(50 * (m + 1)):
-        entering = np.flatnonzero(tableau[-1, :-1] > _FLOAT_TOL)
-        if entering.size == 0:
+        enter = int(np.argmax(tableau[-1, :-1]))
+        if tableau[-1, enter] <= _FLOAT_TOL:
             return basis
-        enter = int(entering[0])
         column = tableau[: m + 1, enter]
         candidates = np.flatnonzero(column > _FLOAT_TOL)
         if candidates.size == 0:

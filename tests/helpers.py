@@ -19,7 +19,7 @@ from grapheq import (
     evaluate,
     game_to_document,
 )
-from grapheq.classical import SymmetryGroup
+from grapheq.classical import LinearPayoff, ProfileEvaluation, SymmetryGroup, _deviation_gains, apply_local
 
 
 def toy_two_player_game(w0=Fraction(1, 2), w1=Fraction(1, 2), name="toy"):
@@ -170,6 +170,36 @@ def oracle_profile_interval(table, code, penalty=Fraction(0)):
     return lo, hi
 
 
+def oracle_evaluate(game, profile):
+    """``evaluate(game, profile)`` by the Fraction loop the integer
+    accumulation replaced, kept as its oracle."""
+    profile = tuple(profile)
+    n = game.n
+    if len(profile) != n:
+        raise ValueError(f"profile must have length {n}")
+    acc = [[Fraction(0)] * 4 for _ in range(n)]  # win0, win1, lose0, lose1
+    win_bits = []
+    p_win = Fraction(0)
+    for q in game.questions:
+        answers = [apply_local(profile[j], q.type_bits[j]) for j in range(n)]
+        win = sum(answers[j] for j in q.involved) % 2 == q.parity
+        win_bits.append(int(win))
+        if win:
+            p_win += q.weight
+        for j in range(n):
+            slot = (0 if win else 2) + answers[j]
+            acc[j][slot] += q.weight
+    payoffs = tuple(LinearPayoff(a[0], a[1], a[2], a[3]) for a in acc)
+    return ProfileEvaluation(profile, payoffs, tuple(win_bits), p_win)
+
+
+def oracle_payoff_value(payoff, params):
+    """``LinearPayoff.value`` with the loss part computed at every penalty."""
+    win = payoff.win_v0 * params.v0 + payoff.win_v1 * params.v1
+    lose = payoff.lose_v0 * params.v0 + payoff.lose_v1 * params.v1
+    return win - params.penalty * lose
+
+
 @functools.lru_cache(maxsize=None)
 def profile_evaluations(game):
     """``evaluate`` of every profile of ``game``, by profile tuple."""
@@ -261,3 +291,31 @@ def oracle_kfold_csw(gt, k):
     if k >= 2 and gt.zero_pwin.any():
         best = max(best, Fraction(0)) if best is not None else Fraction(0)
     return best
+
+
+def oracle_product_nash_matrix(gt):
+    """Nash pairs (k=2) of the product game by the dense outer products the
+    row-blocked brute force replaced, kept as its oracle."""
+    n = gt.game.n
+    ncodes = gt.table.ncodes
+    win_u = gt.win_util_num
+    pw = gt.pwin_num
+    if int(np.abs(win_u).max(initial=0)) * int(pw.max(initial=0)) >= 2**62:
+        win_u, pw = win_u.astype(object), pw.astype(object)
+    viol = np.zeros((ncodes, ncodes), dtype=bool)
+    for j in range(n):
+        for diff in _deviation_gains(win_u, n, j):
+            viol |= np.outer(diff, pw) > 0
+    return ~viol & ~viol.T
+
+
+def oracle_product_best_csw(gt, nash):
+    """Best social welfare over the Nash pairs ``nash`` (k=2) from the dense
+    pair-welfare matrix ``sumU[a]*pwin[b] + sumU[b]*pwin[a]``."""
+    sum_u, pw = gt.sum_util_num, gt.pwin_num
+    if 2 * int(np.abs(sum_u).max(initial=0)) * int(pw.max(initial=0)) >= 2**62:
+        sum_u, pw = sum_u.astype(object), pw.astype(object)
+    cross = np.outer(sum_u, pw)
+    sw_scaled = cross + cross.T
+    best = int(sw_scaled[nash].max())
+    return Fraction(best, gt.util_scale * gt.pwin_scale * 2 * gt.game.n)

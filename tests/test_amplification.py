@@ -1,6 +1,7 @@
 """Penalty pruning, k-fold repetition, and the separation calculator."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -38,7 +39,13 @@ from grapheq.amplification import (
     product_nash_matrix_decomposition,
 )
 from grapheq.classical import PayoffTable, code_to_profile
-from helpers import cycle_game, oracle_kfold_csw, toy_two_player_game
+from helpers import (
+    cycle_game,
+    oracle_kfold_csw,
+    oracle_product_best_csw,
+    oracle_product_nash_matrix,
+    toy_two_player_game,
+)
 
 PARAMS = PayoffParams(Fraction(2, 3), Fraction(1))
 
@@ -250,6 +257,57 @@ def test_kfold_decay_factor_constant():
 def test_kfold_bruteforce_size_limit():
     with pytest.raises(SizeLimitError):
         kfold_bruteforce_csw(builtin_game("NC00_C5"), 3, PARAMS)
+    with pytest.raises(SizeLimitError, match="12 players"):
+        kfold_bruteforce_csw(cycle_game(7), 2, PARAMS)
+
+
+def test_kfold_bruteforce_twelve_players():
+    # C6 at k=2: 4^12 pairs, the largest product the brute force takes
+    game = cycle_game(6)
+    gt = GroupTable(game, PARAMS)
+    rule = product_nash_matrix_decomposition(gt)
+    assert np.array_equal(product_nash_matrix_bruteforce(game, PARAMS, gt), rule)
+    bf = kfold_bruteforce_csw(game, 2, PARAMS, gt=gt)
+    assert bf.csw == kfold_best_csw(game, 2, PARAMS, gt=gt).csw == oracle_kfold_csw(gt, 2)
+    assert bf.nash_count == int(rule.sum()) == 10000
+
+
+def test_kfold_bruteforce_memory_stays_bounded():
+    # with dense 4^5 x 4^5 integer pair matrices this call peaked at 17 MiB
+    game = builtin_game("NC00_C5")
+    tracemalloc.start()
+    try:
+        kfold_bruteforce_csw(game, 2, PARAMS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
+STREAM_CASES = [
+    (builtin_game(name), PayoffParams(ratio, Fraction(1)))
+    for name in BUILTIN_NAMES
+    for ratio in (Fraction(1, 6), Fraction(37, 60), Fraction(2, 3))
+] + [
+    # a deviation gain times a win probability overflows int64 here
+    (builtin_game("NC00_C5"), PayoffParams(Fraction(1, 2**59), Fraction(1))),
+    (builtin_game("NC000_C5"), PayoffParams(Fraction(1, 2**58), Fraction(1))),
+    # profiles that never win: against them every profile of the other
+    # group is unimprovable
+    (toy_two_player_game(), PARAMS),
+]
+
+
+@pytest.mark.parametrize(
+    "game, params", STREAM_CASES, ids=[f"{g.name}-{p.ratio}" for g, p in STREAM_CASES]
+)
+def test_streamed_bruteforce_equals_dense_formula(game, params):
+    gt = GroupTable(game, params)
+    dense = oracle_product_nash_matrix(gt)
+    assert np.array_equal(product_nash_matrix_bruteforce(game, params, gt), dense)
+    bf = kfold_bruteforce_csw(game, 2, params, gt=gt)
+    assert bf.csw == oracle_product_best_csw(gt, dense)
+    assert bf.nash_count == int(dense.sum())
 
 
 def test_product_perfect_win():

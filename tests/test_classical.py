@@ -34,7 +34,9 @@ from grapheq.classical import PayoffTable, _player_axis, build_report, code_to_p
 from helpers import (
     brute_force_sets,
     cycle_game,
+    oracle_evaluate,
     oracle_payoff_table,
+    oracle_payoff_value,
     oracle_profile_interval,
     oracle_reporting_symmetries,
     profile_evaluations,
@@ -390,6 +392,29 @@ def test_overflow_scale_matches_brute_force_and_interval_oracle():
     grid, _ = table.utility_grid(params)
     assert grid.dtype == object
     _assert_kernel_matches_oracles(game, table, params)
+
+
+EVALUATE_GAMES = (
+    [builtin_game(name) for name in BUILTIN_NAMES]
+    + [cycle_game(n) for n in range(4, 9)]
+    + [path_game(5), skewed_c5(), game_from_document(scaled_document(2**70))[0]]
+)
+
+
+@pytest.mark.parametrize(
+    "game", EVALUATE_GAMES, ids=[g.name for g in EVALUATE_GAMES[:-1]] + ["scale-2^70"]
+)
+def test_evaluate_matches_fraction_loop_oracle(game):
+    # every profile up to n = 5, a seeded sample above
+    profiles = [code_to_profile(code, game.n) for code in range(4**game.n)]
+    if game.n > 5:
+        profiles = random.Random(game.n).sample(profiles, 300)
+    penalties = [PayoffParams(Fraction(2, 3), Fraction(1), ng) for ng in (0, 4)]
+    for profile in profiles:
+        ev = evaluate(game, profile)
+        assert ev == oracle_evaluate(game, profile)
+        for params in penalties:
+            assert ev.utilities(params) == tuple(oracle_payoff_value(p, params) for p in ev.payoffs)
 
 
 TABLE_ARRAYS = ("win0", "win1", "lose0", "lose1", "win_bits", "pwin_num")

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from grapheq import PayoffParams, builtin_game, game_to_document
 from grapheq.cli import main
+from helpers import cycle_game
 
 
 def run_cli(*argv):
@@ -89,6 +90,15 @@ def test_kfold_bruteforce_agrees_past_int64():
     bf = run_cli(*args, "--method", "bruteforce")
     assert (dec[0], dec[2], bf[0], bf[2]) == (0, "", 0, "")
     assert json.loads(bf[1])["csw"] == json.loads(dec[1])["csw"] == "612489549322387457/1297036692682702848"
+
+
+def test_kfold_bruteforce_over_twelve_players_exits_3(tmp_path):
+    # C7 at k=2 is 14 players, past the brute-force limit
+    path = tmp_path / "c7.json"
+    path.write_text(json.dumps(game_to_document(cycle_game(7), PayoffParams(Fraction(2, 3), Fraction(1)))))
+    code, out, err = run_cli("kfold", "--game", str(path), "--k", "2", "--method", "bruteforce")
+    assert (code, out) == (3, "")
+    assert "brute force limited to 12 players" in err
 
 
 def test_kfold_rejects_k_below_one():

@@ -177,25 +177,58 @@ def lp_data(game, params):
     return grid.sum(axis=1), _obedience_matrix(grid, game.n), start, scale * game.n
 
 
-@pytest.mark.parametrize(
-    "game, ratio, expected",
-    [
-        (builtin_game("NC00_C5"), Fraction(1, 6), Fraction(125, 198)),
-        (builtin_game("NC01_C5"), Fraction(1, 6), Fraction(11, 18)),
-        (builtin_game("NC01_C5"), Fraction(2, 3), Fraction(7, 9)),
-        (cycle_game(6), Fraction(2, 3), Fraction(19, 21)),
-    ],
-    ids=["NC00-1/6", "NC01-1/6", "NC01-2/3", "C6-2/3"],
-)
-def test_correlated_value_regressions(game, ratio, expected):
-    params = PayoffParams(ratio, Fraction(1))
+def certified_value(monkeypatch, game, params):
+    """``best_correlated_sw`` with the exact fallback disabled, so the float
+    basis must certify.  The optimum is checked for obedience, for its own
+    score and against HiGHS."""
+
+    def no_fallback(*_):
+        raise AssertionError("the float basis was not certified")
+
+    monkeypatch.setattr(correlated, "_simplex_max", no_fallback)
     value, dist = best_correlated_sw(game, params, return_distribution=True)
-    assert value == expected
     assert sum(dist.values()) == 1 and all(w > 0 for w in dist.values())
     assert obedience_violations(game, params, dist) == []
     table = PayoffTable(game)
     assert sum(w * table.social_welfare(code, params) for code, w in dist.items()) == value
     assert abs(float(value) - float_optimum(game, params)) < 1e-9
+    return value
+
+
+@pytest.mark.parametrize(
+    "game, ratio, expected",
+    [
+        (builtin_game("NC00_C5"), Fraction(1, 6), Fraction(125, 198)),
+        (builtin_game("NC00_C5"), Fraction(1, 4), Fraction(91, 138)),
+        (builtin_game("NC00_C5"), Fraction(17, 60), Fraction(1411, 2106)),
+        (builtin_game("NC01_C5"), Fraction(1, 6), Fraction(11, 18)),
+        (builtin_game("NC01_C5"), Fraction(2, 3), Fraction(7, 9)),
+        (cycle_game(6), Fraction(1, 6), Fraction(16, 21)),
+        (cycle_game(6), Fraction(2, 3), Fraction(19, 21)),
+    ],
+    ids=["NC00-1/6", "NC00-1/4", "NC00-17/60", "NC01-1/6", "NC01-2/3", "C6-1/6", "C6-2/3"],
+)
+def test_correlated_value_regressions(monkeypatch, game, ratio, expected):
+    assert certified_value(monkeypatch, game, PayoffParams(ratio, Fraction(1))) == expected
+
+
+# ratios p/60 where a float pass entering by Bland's rule stalled and the
+# exact fallback did not finish
+STALLED_RATIOS = {
+    "NC00_C5": (15, 17, 57),
+    "NC01_C5": (13, 16, 58),
+    "NC000_C5": (26, 33, 56),
+    "NC00010_C5": (32, 35, 59),
+}
+
+
+@pytest.mark.parametrize(
+    "name, p", [(name, p) for name, ps in STALLED_RATIOS.items() for p in ps], ids=str
+)
+def test_float_basis_certifies_where_bland_stalled(monkeypatch, name, p):
+    game = builtin_game(name)
+    params = PayoffParams(Fraction(p, 60), Fraction(1))
+    assert certified_value(monkeypatch, game, params) >= best_csw(game, params)[0]
 
 
 def test_obedience_matrix_matches_loop_reference():
