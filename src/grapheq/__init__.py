@@ -5,9 +5,30 @@ stabilizers, enumerates their pure classical equilibria exactly, computes the
 quantum advice correlation with its guarantees and equilibrium threshold, and
 measures how penalties and k-fold repetition widen the classical/quantum
 social-welfare gap.  All analysis arithmetic is rational.
+
+No analysis path calls BLAS: table, scan and k-fold arithmetic is integer
+or object, and the LP's float basis uses elementwise ops only.  So when
+grapheq is the first to import numpy, it loads OpenBLAS with one thread
+instead of leaving an idle worker to spin on every CPU.  The variable is
+set only for that load and removed again, so ``os.environ`` and child
+processes see what the caller set.  A thread count the caller sets in
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` wins,
+and a numpy imported before grapheq keeps its threads.
 """
 
+import os
+import sys
+
 __version__ = "0.1.0"
+
+if "numpy" not in sys.modules and not any(
+    v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .amplification import (
     GroupTable,
@@ -80,7 +101,6 @@ from .quantum import (
     deviation_payoff_coefficients,
     deviation_table,
     is_quantum_nash,
-    p_involved_given_advice,
     quantum_player_utilities,
     quantum_threshold,
     qsw,

@@ -18,10 +18,10 @@ import numpy as np
 from . import _reference as ref
 from .amplification import (
     GroupTable,
+    _pair_bruteforce_csw,
     _product_perfect_win_enumerated,
     kfold,
     kfold_best_csw,
-    kfold_bruteforce_csw,
     penalty_report,
     players_needed,
     product_nash_matrix_bruteforce,
@@ -324,7 +324,7 @@ def check_kfold_agreement() -> CheckResult:
     if not np.array_equal(rule, brute):
         problems.append(f"Nash sets differ on {int((rule != brute).sum())} pairs")
     dec = kfold_best_csw(game, 2, STANDARD_PARAMS, gt=gt)
-    bf = kfold_bruteforce_csw(game, 2, STANDARD_PARAMS, gt=gt)
+    bf = _pair_bruteforce_csw(gt, brute)
     if dec.csw != bf.csw:
         problems.append(f"best CSW {dec.csw} (decomposition) != {bf.csw} (brute force)")
     product = kfold(game, 2)

@@ -191,9 +191,6 @@ class GroupTable:
     def p_win(self, code: int) -> Fraction:
         return Fraction(int(self.pwin_num[code]), self.pwin_scale)
 
-    def sum_win_util(self, code: int) -> Fraction:
-        return Fraction(int(self.sum_util_num[code]), self.util_scale)
-
 
 @dataclass(frozen=True)
 class KfoldReport:
@@ -272,7 +269,12 @@ def kfold_bruteforce_csw(
         csw = Fraction(best, gt.util_scale * game.n)
         return KfoldReport(1, csw, qsw(params), csw / qsw(params), "bruteforce", None, int(codes.size))
     gt = gt or GroupTable(game, params)
-    nash = product_nash_matrix_bruteforce(game, params, gt)
+    return _pair_bruteforce_csw(gt, product_nash_matrix_bruteforce(game, params, gt))
+
+
+def _pair_bruteforce_csw(gt: GroupTable, nash: np.ndarray) -> KfoldReport:
+    """Best social welfare (k=2) over the Nash pairs ``nash`` of the
+    brute force, scored as actual integer products."""
     # SW(a,b) = sumU[a]*pwin[b] + sumU[b]*pwin[a], exact integers, scored
     # on the Nash pairs of one row block at a time
     sum_u, pw = gt.sum_util_num, gt.pwin_num
@@ -287,9 +289,9 @@ def kfold_bruteforce_csw(
             best = top if best is None else max(best, top)
     if best is None:
         raise EmptyEquilibriumSetError("no product Nash profile")
-    csw = Fraction(best, gt.util_scale * gt.pwin_scale * 2 * game.n)
+    csw = Fraction(best, gt.util_scale * gt.pwin_scale * 2 * gt.game.n)
     return KfoldReport(
-        2, csw, qsw(params), csw / qsw(params), "bruteforce", None, int(np.count_nonzero(nash))
+        2, csw, qsw(gt.params), csw / qsw(gt.params), "bruteforce", None, int(np.count_nonzero(nash))
     )
 
 

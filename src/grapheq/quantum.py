@@ -109,23 +109,6 @@ def verify_uniform_and_belief_invariant(
     return BeliefInvarianceReport(tuple(uniform_bad), tuple(invariance_bad))
 
 
-def p_involved_given_advice(game: GameSpec, player: int, type_bit: int, advice_bit: int) -> Fraction:
-    """Involvement probability given own type and advice bit.
-
-    The advice marginal is uniform for every question (checked here), so
-    conditioning on the advice bit cannot reweight questions and the result
-    equals the type-only involvement probability.
-    """
-    if advice_bit not in (0, 1):
-        raise ValueError("advice bit must be 0 or 1")
-    report = verify_uniform_and_belief_invariant(game)
-    if report.uniform_violations:
-        raise UnsupportedGameError(
-            f"advice marginals not uniform: {report.uniform_violations[:3]}"
-        )
-    return p_involved(game, player, type_bit)
-
-
 @dataclass(frozen=True)
 class QuantumThreshold:
     p: Fraction

@@ -51,10 +51,6 @@ class Graph:
     def cycle(cls, n: int) -> "Graph":
         return cls.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
-    @classmethod
-    def edgeless(cls, n: int) -> "Graph":
-        return cls(n, frozenset())
-
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(b if a == v else a for a, b in self.edges if v in (a, b))
 
@@ -209,16 +205,6 @@ class OutcomeLaw:
     def support_size(self) -> int:
         return 2 ** (self.n - self.rank)
 
-    def probability_of(self, answer) -> Fraction:
-        """Exact probability of a full answer vector."""
-        answer = list(answer)
-        if len(answer) != self.n:
-            raise ValueError(f"answer must have length {self.n}")
-        a = gf2.pack(answer)
-        if any((row & a).bit_count() & 1 != b for row, b in zip(self._rows, self._bits)):
-            return Fraction(0)
-        return Fraction(1, self.support_size)
-
     def image_coset(self, masks) -> tuple[int, list[int]]:
         """The image of the support under the functionals ``masks``.
 
@@ -242,14 +228,6 @@ class OutcomeLaw:
             raise ValueError("query subset too large for exact enumeration")
         prob = Fraction(1, 2 ** len(span))
         return {gf2.unpack(point, len(masks)): prob for point in gf2.coset(offset, span)}
-
-    def linear_image_distribution(self, functional_rows) -> dict[tuple[int, ...], Fraction]:
-        """Distribution of L @ a for answers a drawn from the law.
-
-        ``functional_rows`` is an (m, n) 0/1 matrix; the result is uniform
-        over the coset of ``image_coset``, enumerated exactly.
-        """
-        return self._image_distribution(gf2.pack_rows(functional_rows, self.n))
 
     def marginal(self, players) -> dict[tuple[int, ...], Fraction]:
         """Exact marginal distribution of the answers of a player subset."""

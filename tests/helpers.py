@@ -14,18 +14,27 @@ from grapheq import (
     PayoffParams,
     QuestionSpec,
     SizeLimitError,
+    UnsupportedGameError,
     builtin_game,
     derive_question,
     evaluate,
     game_to_document,
+    p_involved,
+    verify_uniform_and_belief_invariant,
 )
+from grapheq import gf2
 from grapheq.classical import LinearPayoff, ProfileEvaluation, SymmetryGroup, _deviation_gains, apply_local
+
+
+def edgeless(n):
+    """The graph on n vertices with no edges."""
+    return Graph(n, frozenset())
 
 
 def toy_two_player_game(w0=Fraction(1, 2), w1=Fraction(1, 2), name="toy"):
     """Two players on an edgeless pair; each question pins one player's
     type-1 answer to 0.  Equilibria are derivable by inspection."""
-    pair = Graph.edgeless(2)
+    pair = edgeless(2)
     d0, d1 = derive_question(pair, {0}), derive_question(pair, {1})
     return GameSpec(
         name,
@@ -249,7 +258,7 @@ def oracle_deviation_payoff_coefficients(game, advice, player, policy):
         rows[0, player] = 1
         for r in rest:
             rows[1, r] = 1
-        joint = law.linear_image_distribution(rows)
+        joint = linear_image_distribution(law, rows)
         for (advice_bit, rest_parity), prob in joint.items():
             answer = policy[(t << 1) | advice_bit]
             own_term = answer if player in q.involved else 0
@@ -270,7 +279,7 @@ def oracle_kfold_csw(gt, k):
     """
     n = gt.game.n
     values = {
-        (gt.p_win(int(c)), gt.sum_win_util(int(c)))
+        (gt.p_win(int(c)), sum_win_util(gt, int(c)))
         for c in np.nonzero(gt.nash & ~gt.zero_pwin)[0]
     }
     frontier = [
@@ -319,3 +328,47 @@ def oracle_product_best_csw(gt, nash):
     sw_scaled = cross + cross.T
     best = int(sw_scaled[nash].max())
     return Fraction(best, gt.util_scale * gt.pwin_scale * 2 * gt.game.n)
+
+
+def probability_of(law, answer):
+    """Exact probability of a full answer vector under ``law``, read off
+    its parity constraints."""
+    answer = np.array(list(answer), dtype=np.int64)
+    if answer.shape != (law.n,):
+        raise ValueError(f"answer must have length {law.n}")
+    if np.array_equal((law.matrix.astype(np.int64) @ answer) % 2, law.rhs):
+        return Fraction(1, law.support_size)
+    return Fraction(0)
+
+
+def linear_image_distribution(law, functional_rows):
+    """Distribution of L @ a for answers a drawn from ``law``.
+
+    ``functional_rows`` is an (m, n) 0/1 matrix; the result is uniform over
+    the coset that ``law.image_coset`` returns, enumerated exactly.
+    """
+    masks = gf2.pack_rows(functional_rows, law.n)
+    offset, span = law.image_coset(masks)
+    prob = Fraction(1, 2 ** len(span))
+    return {gf2.unpack(point, len(masks)): prob for point in gf2.coset(offset, span)}
+
+
+def p_involved_given_advice(game, player, type_bit, advice_bit):
+    """Involvement probability given own type and advice bit.
+
+    The advice marginal is uniform for every question (checked here), so
+    conditioning on the advice bit cannot reweight questions and the result
+    equals the type-only involvement probability.
+    """
+    if advice_bit not in (0, 1):
+        raise ValueError("advice bit must be 0 or 1")
+    report = verify_uniform_and_belief_invariant(game)
+    if report.uniform_violations:
+        raise UnsupportedGameError(f"advice marginals not uniform: {report.uniform_violations[:3]}")
+    return p_involved(game, player, type_bit)
+
+
+def sum_win_util(gt, code):
+    """Summed winning-part utility of base profile ``code`` in a
+    ``GroupTable``, as a Fraction."""
+    return Fraction(int(gt.sum_util_num[code]), gt.util_scale)

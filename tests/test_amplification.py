@@ -40,6 +40,7 @@ from grapheq.amplification import (
 )
 from grapheq.classical import PayoffTable, code_to_profile
 from helpers import (
+    sum_win_util,
     cycle_game,
     oracle_kfold_csw,
     oracle_product_best_csw,
@@ -466,7 +467,7 @@ def test_group_table_exact_past_int64():
         assert kfold_best_csw(game, 1, params, gt=gt).csw == value
         for code in (0, 341, 1023):
             ev = evaluate(game, code_to_profile(code, 5))
-            assert gt.sum_win_util(code) == sum(
+            assert sum_win_util(gt, code) == sum(
                 p.win_v0 * params.v0 + p.win_v1 * params.v1 for p in ev.payoffs
             )
         assert kfold_best_csw(game, 3, params, gt=gt).csw == oracle_kfold_csw(gt, 3)

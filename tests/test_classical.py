@@ -32,6 +32,8 @@ from hypothesis import given, settings, strategies as st
 from grapheq._reference import NC00_NASH_INTERVALS
 from grapheq.classical import PayoffTable, _player_axis, build_report, code_to_profile
 from helpers import (
+    edgeless,
+    probability_of,
     brute_force_sets,
     cycle_game,
     oracle_evaluate,
@@ -143,7 +145,7 @@ def test_always_winning_game_has_no_breakpoints():
     # wins and the only deviations left chase the higher answer value
     from grapheq import GameSpec, Graph, QuestionSpec
 
-    pair = Graph.edgeless(2)
+    pair = edgeless(2)
     q = QuestionSpec("free", (0, 0), frozenset(), 0, Fraction(1), frozenset())
     game = GameSpec("all-win", pair, (q,))
     regimes = ratio_regimes(game)
@@ -325,7 +327,7 @@ def test_win_bits_match_law_support_for_single_constraint_games():
             answers = [
                 ((0, 0), (1, 1), (0, 1), (1, 0))[profile[j]][q.type_bits[j]] for j in range(5)
             ]
-            member = law.probability_of(answers) > 0
+            member = probability_of(law, answers) > 0
             assert member == bool(table.win_bits[code, qi])
 
 

@@ -23,6 +23,7 @@ from grapheq import (
     game_to_document,
     p_involved,
 )
+from helpers import edgeless
 
 PARAMS = PayoffParams(Fraction(2, 3), Fraction(1))
 
@@ -159,7 +160,7 @@ def test_cyclic_relabeling_preserves_builtins():
 
 
 def test_conditioning_on_impossible_type():
-    c5 = Graph.edgeless(2)
+    c5 = edgeless(2)
     d = derive_question(c5, {0, 1})
     q = QuestionSpec("q", (1, 1), d.involved, d.parity, Fraction(1), frozenset({0, 1}))
     game = GameSpec("toy", c5, (q,))

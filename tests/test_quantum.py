@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from helpers import cycle_game, oracle_deviation_payoff_coefficients
+from helpers import cycle_game, edgeless, oracle_deviation_payoff_coefficients, p_involved_given_advice
 
 from grapheq import (
     DEVIATION_POLICIES,
@@ -19,7 +19,6 @@ from grapheq import (
     deviation_table,
     is_quantum_nash,
     outcome_law,
-    p_involved_given_advice,
     quantum_player_utilities,
     quantum_threshold,
     qsw,
@@ -51,7 +50,7 @@ def test_advice_law_examples():
 
 
 def test_advice_requires_generator_sets():
-    pair = Graph.edgeless(2)
+    pair = edgeless(2)
     q = QuestionSpec("q", (1, 1), frozenset({0, 1}), 0, Fraction(1), None)
     game = GameSpec("toy", pair, (q,))
     with pytest.raises(UnsupportedGameError):
@@ -84,7 +83,7 @@ def test_uniformity_and_belief_invariance():
 def test_deterministic_advice_flagged():
     # an edgeless pair measured in X answers (0, 0) deterministically, so
     # the uniformity check must reject it
-    pair = Graph.edgeless(2)
+    pair = edgeless(2)
     d = derive_question(pair, {0, 1})
     q = QuestionSpec("q", (1, 1), d.involved, d.parity, Fraction(1), frozenset({0, 1}))
     game = GameSpec("toy", pair, (q,))
@@ -97,7 +96,7 @@ def test_p_involved_given_advice_is_advice_independent():
     game = builtin_game("NC01_C5")
     assert p_involved_given_advice(game, 0, 0, 0) == Fraction(2, 3)
     assert p_involved_given_advice(game, 0, 0, 1) == Fraction(2, 3)
-    pair = Graph.edgeless(2)
+    pair = edgeless(2)
     d = derive_question(pair, {0, 1})
     q = QuestionSpec("q", (1, 1), d.involved, d.parity, Fraction(1), frozenset({0, 1}))
     toy = GameSpec("toy", pair, (q,))
