@@ -18,10 +18,10 @@ import numpy as np
 from . import _reference as ref
 from .amplification import (
     GroupTable,
+    _kfold_csws,
     _pair_bruteforce_csw,
     _product_perfect_win_enumerated,
     kfold,
-    kfold_best_csw,
     penalty_report,
     players_needed,
     product_nash_matrix_bruteforce,
@@ -323,17 +323,18 @@ def check_kfold_agreement() -> CheckResult:
     brute = product_nash_matrix_bruteforce(game, STANDARD_PARAMS, gt)
     if not np.array_equal(rule, brute):
         problems.append(f"Nash sets differ on {int((rule != brute).sum())} pairs")
-    dec = kfold_best_csw(game, 2, STANDARD_PARAMS, gt=gt)
+    # the decomposition's best welfare at k = 1..4, from one pass
+    csws = _kfold_csws(gt)
+    csw = [Fraction(*next(csws)) for _ in range(4)]
     bf = _pair_bruteforce_csw(gt, brute)
-    if dec.csw != bf.csw:
-        problems.append(f"best CSW {dec.csw} (decomposition) != {bf.csw} (brute force)")
+    if csw[1] != bf.csw:
+        problems.append(f"best CSW {csw[1]} (decomposition) != {bf.csw} (brute force)")
     product = kfold(game, 2)
     factorised = verify_product_perfect_win(product)
     if factorised != _product_perfect_win_enumerated(product):
         problems.append("factorised and enumerated product perfect-win checks disagree")
     if not factorised:
         problems.append("advice does not win the 10-qubit product surely")
-    csw = [kfold_best_csw(game, k, STANDARD_PARAMS, gt=gt).csw for k in (1, 2, 3, 4)]
     decays = [csw[i + 1] / csw[i] for i in range(3)]
     if len(set(decays)) != 1:
         problems.append(f"decay factors not constant: {decays}")

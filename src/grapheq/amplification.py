@@ -6,8 +6,11 @@ repetition runs k groups in parallel on disjoint copies of the graph and
 pays only when every group wins; product-profile utilities factor exactly as
 (own-group winning utility) times (other groups' win probabilities), which
 drives both the fast decomposition search and the brute-force oracle it is
-checked against.  The decomposition ranks combinations of base profiles in
-integers over the ``GroupTable`` scales and builds one Fraction per answer.
+checked against.  The decomposition grows k one group at a time over the
+undominated (win probability, summed utility) pairs of the base Nash
+profiles, in integers over the ``GroupTable`` scales, so one pass yields the
+best welfare at every k; ``players_needed`` walks that pass until the ratio
+falls to eps, and one Fraction is built per answer.
 The k=2 brute force checks every pair and every deviation with actual
 integer products, scored in row blocks of at most ``_PAIR_BLOCK`` pairs, so
 no 4^n x 4^n integer matrix is built and it reaches 12 players.
@@ -188,9 +191,6 @@ class GroupTable:
             grid = grid.astype(object)
         self.sum_util_num = grid.sum(axis=1)
 
-    def p_win(self, code: int) -> Fraction:
-        return Fraction(int(self.pwin_num[code]), self.pwin_scale)
-
 
 @dataclass(frozen=True)
 class KfoldReport:
@@ -295,45 +295,37 @@ def _pair_bruteforce_csw(gt: GroupTable, nash: np.ndarray) -> KfoldReport:
     )
 
 
-def _candidate_frontier(gt: GroupTable) -> list[tuple[int, int]]:
-    """Distinct (pwin_num, sum_util_num) integer pairs of Nash profiles,
-    restricted to positive win probability and pruned to the coordinatewise
-    frontier.  The product objective is weakly increasing in both
-    coordinates of every group, so dominated pairs never help.
+def _undominated(pairs) -> list[tuple[int, int]]:
+    """The pairs no other pair matches or beats in both coordinates, in
+    descending order of the first: sorted that way, a pair stays iff its
+    second coordinate beats every pair kept before it."""
+    kept: list[tuple[int, int]] = []
+    for a, b in sorted(set(pairs), reverse=True):
+        if not kept or b > kept[-1][1]:
+            kept.append((a, b))
+    return kept
 
-    Sorted by descending win probability, a pair is on the frontier iff its
-    utility beats every pair before it.  Returned in ascending order.
+
+def _kfold_csws(gt: GroupTable):
+    """Best product-Nash social welfare at k = 1, 2, ... as integer
+    ``(num, den)`` pairs, from one recursion over the base frontier.
+
+    A running pair (p, t) = (prod w, sum_g u_g prod_{h != g} w_h) becomes
+    (p*w, t*w + u*p) when a positive-win base-Nash group (w, u) joins.  At
+    penalty 0 every w, u >= 0 (PayoffParams keeps 0 <= v0 <= v1), so that
+    map is non-decreasing and keeping only undominated pairs is exact.
+    Configurations with a zero-win-probability group have SW 0 and never
+    do better.
     """
     positive = gt.nash & ~gt.zero_pwin
-    values = set(zip(gt.pwin_num[positive].tolist(), gt.sum_util_num[positive].tolist()))
-    frontier = []
-    for w, u in sorted(values, reverse=True):
-        if not frontier or u > frontier[-1][1]:
-            frontier.append((w, u))
-    return frontier[::-1]
-
-
-def _frontier_csw(gt: GroupTable, frontier: list[tuple[int, int]], k: int) -> Fraction:
-    """Best product-Nash social welfare of k groups over ``frontier``.
-
-    Each combination is ranked by the integer sum over groups g of
-    u_g * prod_{h != g} w_h, on the scale util_scale * pwin_scale^(k-1);
-    one Fraction is built for the winner.
-    """
-    best = None
-    for combo in itertools.combinations_with_replacement(frontier, k):
-        # running (prod w, sum_g u_g prod_{h != g} w_h) over the groups seen
-        wprod, total = 1, 0
-        for w, u in combo:
-            wprod, total = wprod * w, total * w + u * wprod
-        if best is None or total > best:
-            best = total
-    if k >= 2 and gt.zero_pwin.any():
-        best = max(best, 0) if best is not None else 0
-    if best is None:
+    frontier = _undominated(zip(gt.pwin_num[positive].tolist(), gt.sum_util_num[positive].tolist()))
+    if not frontier:
         raise EmptyEquilibriumSetError("no product Nash configuration")
-    n = gt.game.n
-    return Fraction(best, gt.util_scale * gt.pwin_scale ** (k - 1) * k * n)
+    running, den = frontier, gt.util_scale * gt.game.n
+    for k in itertools.count(1):
+        yield running[-1][1], den * k
+        running = _undominated((p * w, t * w + u * p) for p, t in running for w, u in frontier)
+        den *= gt.pwin_scale
 
 
 def kfold_best_csw(
@@ -348,13 +340,9 @@ def kfold_best_csw(
     winning utility is 0 and its factor kills every other term.
     """
     gt = gt or GroupTable(game, params)
-    frontier = _candidate_frontier(gt)
-    best = _frontier_csw(gt, frontier, k)
-    decay = None
-    if k >= 2:
-        prev = _frontier_csw(gt, frontier, k - 1)
-        if prev != 0:
-            decay = best / prev
+    *head, last = itertools.islice(_kfold_csws(gt), k)
+    best = Fraction(*last)
+    decay = best / Fraction(*head[-1]) if head and head[-1][0] != 0 else None
     return KfoldReport(k, best, qsw(params), best / qsw(params), "decomposition", decay)
 
 
@@ -411,6 +399,10 @@ def _product_perfect_win_enumerated(product: ProductGameSpec) -> bool:
 
 @dataclass(frozen=True)
 class PlayersNeeded:
+    """``base_ratio`` is the ratio at k = 1 and ``decay_factor`` c2/c1;
+    ``geometric`` is observed at k = 3 (c3/c2 == c2/c1), while k and
+    ``achieved_ratio`` are computed directly either way."""
+
     k: int
     player_count: int
     achieved_ratio: Fraction
@@ -420,38 +412,30 @@ class PlayersNeeded:
 
 
 def players_needed(game: GameSpec, params: PayoffParams, eps) -> PlayersNeeded:
-    """Smallest k with best-classical over quantum SW ratio at most eps.
+    """Smallest k <= 200 with best-classical over quantum SW ratio at most eps.
 
-    The decay factor is measured from the decomposition at k = 1, 2 and
-    verified at k = 3; when constant, the ratio extrapolates geometrically,
-    giving k = O(log(1/eps)).  If the decay were not constant the search
-    would fall back to computing each k directly.
+    The ratio is computed at every k in turn, compared in integers, and
+    one Fraction is built for the answer.  The decay factor is c2/c1, and
+    the decay is reported geometric when c3/c2 equals it; a geometric decay
+    of at least 1 never reaches eps < c1/QSW, so it is refused at once.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    gt = GroupTable(game, params)
-    frontier = _candidate_frontier(gt)
-    c1 = _frontier_csw(gt, frontier, 1)
+    csws = _kfold_csws(GroupTable(game, params))
+    head = [next(csws) for _ in range(3)]
+    c1, c2, c3 = (Fraction(*c) for c in head)
     if c1 <= 0:
         raise EmptyEquilibriumSetError("base classical social welfare must be positive")
-    c2 = _frontier_csw(gt, frontier, 2)
-    c3 = _frontier_csw(gt, frontier, 3)
     decay = c2 / c1
     geometric = c3 * c1 == c2 * c2
     q = qsw(params)
-    ratio = c1 / q
-    k = 1
-    if geometric:
-        if ratio > eps and decay >= 1:
-            raise ValueError("ratio does not decay; separation unreachable")
-        while ratio > eps:
-            k += 1
-            ratio *= decay
-    else:
-        while ratio > eps:
-            k += 1
-            if k > 200:
-                raise SizeLimitError("no k <= 200 reaches the requested ratio")
-            ratio = _frontier_csw(gt, frontier, k) / q
-    return PlayersNeeded(k, k * game.n, ratio, c1 / q, decay, geometric)
+    if geometric and decay >= 1 and c1 / q > eps:
+        raise ValueError("ratio does not decay; separation unreachable")
+    # csw/q <= eps  <=>  num * bound.denominator <= bound.numerator * den
+    bound = eps * q
+    for k, (num, den) in enumerate(itertools.chain(head, csws), start=1):
+        if num * bound.denominator <= bound.numerator * den:
+            return PlayersNeeded(k, k * game.n, Fraction(num, den) / q, c1 / q, decay, geometric)
+        if k == 200:
+            raise SizeLimitError("no k <= 200 reaches the requested ratio")

@@ -279,7 +279,7 @@ def oracle_kfold_csw(gt, k):
     """
     n = gt.game.n
     values = {
-        (gt.p_win(int(c)), sum_win_util(gt, int(c)))
+        (p_win(gt, int(c)), sum_win_util(gt, int(c)))
         for c in np.nonzero(gt.nash & ~gt.zero_pwin)[0]
     }
     frontier = [
@@ -372,3 +372,9 @@ def sum_win_util(gt, code):
     """Summed winning-part utility of base profile ``code`` in a
     ``GroupTable``, as a Fraction."""
     return Fraction(int(gt.sum_util_num[code]), gt.util_scale)
+
+
+def p_win(gt, code):
+    """Win probability of base profile ``code`` in a ``GroupTable``, as a
+    Fraction."""
+    return Fraction(int(gt.pwin_num[code]), gt.pwin_scale)

@@ -1,9 +1,12 @@
 """Penalty pruning, k-fold repetition, and the separation calculator."""
 
+import itertools
+import math
 import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from grapheq import (
     verify_product_perfect_win,
 )
 from grapheq.amplification import (
+    _kfold_csws,
     _product_perfect_win_enumerated,
     product_nash_matrix_bruteforce,
     product_nash_matrix_decomposition,
@@ -45,6 +49,7 @@ from helpers import (
     oracle_kfold_csw,
     oracle_product_best_csw,
     oracle_product_nash_matrix,
+    p_win,
     toy_two_player_game,
 )
 
@@ -184,7 +189,7 @@ def test_factorization_identity_random_profiles():
         direct = evaluate_product(
             product, code_to_profile(a, 5) + code_to_profile(b, 5), PARAMS
         )
-        pa, pb = gt.p_win(a), gt.p_win(b)
+        pa, pb = p_win(gt, a), p_win(gt, b)
         for j in range(5):
             assert direct[j] == Fraction(int(gt.win_util_num[a, j]), gt.util_scale) * pb
             assert direct[5 + j] == Fraction(int(gt.win_util_num[b, j]), gt.util_scale) * pa
@@ -195,11 +200,11 @@ def test_factorization_identity_exhaustive_one_group():
     gt = GroupTable(game, PARAMS)
     product = kfold(game, 2)
     a = profile_to_code((2, 2, 1, 1, 1), 5)
-    pa = gt.p_win(a)
+    pa = p_win(gt, a)
     own = [Fraction(int(gt.win_util_num[a, j]), gt.util_scale) for j in range(5)]
     for b in range(1024):
         direct = evaluate_product(product, (2, 2, 1, 1, 1) + code_to_profile(b, 5), PARAMS)
-        pb = gt.p_win(b)
+        pb = p_win(gt, b)
         for j in range(5):
             assert direct[j] == own[j] * pb
             assert direct[5 + j] == Fraction(int(gt.win_util_num[b, j]), gt.util_scale) * pa
@@ -407,7 +412,7 @@ def test_product_evaluation_with_penalty():
     a, b = (2, 2, 1, 1, 1), (0, 0, 0, 0, 0)
     direct = evaluate_product(product, a + b, params)
     ca, cb = profile_to_code(a, 5), profile_to_code(b, 5)
-    pa, pb = gt.p_win(ca), gt.p_win(cb)
+    pa, pb = p_win(gt, ca), p_win(gt, cb)
     for j, code, own_pwin, other_pwin in ((0, ca, pa, pb), (5, cb, pb, pa)):
         for i in range(5):
             payoff = gt.table.payoff(code, i)
@@ -436,6 +441,71 @@ def test_players_needed_monotone_in_eps():
     game = builtin_game("NC00_C5")
     ks = [players_needed(game, PARAMS, Fraction(1, 10**m)).k for m in range(1, 5)]
     assert ks == sorted(ks)
+
+
+def _multiset_walk(pairs, zero_pwin, k):
+    """Best sum_g u_g * prod_{h != g} w_h over every multiset of k groups
+    from ``pairs``; a group of zero win probability makes the welfare 0."""
+    best = max(
+        sum(u * math.prod(w for h, (w, _) in enumerate(combo) if h != g) for g, (_, u) in enumerate(combo))
+        for combo in itertools.combinations_with_replacement(pairs, k)
+    )
+    return max(best, 0) if k >= 2 and zero_pwin else best
+
+
+def test_kfold_csws_match_multiset_walk():
+    # random integer tables with ties in w and in u, u = 0, and profiles of
+    # zero win probability present or absent; at most 6 distinct w values
+    # keep the frontier at F <= 6
+    rng = random.Random(18)
+    for _ in range(120):
+        size = rng.randint(1, 8)
+        pwin = [rng.randint(1, 6) for _ in range(size)]
+        util = [rng.choice((0, rng.randint(0, 6))) for _ in range(size)]
+        nash = [True] + [rng.random() < 0.7 for _ in range(size - 1)]
+        if rng.random() < 0.5:
+            pwin.append(0)
+            util.append(0)
+            nash.append(rng.random() < 0.5)
+        gt = SimpleNamespace(
+            nash=np.array(nash),
+            zero_pwin=np.array(pwin) == 0,
+            pwin_num=np.array(pwin),
+            sum_util_num=np.array(util),
+            util_scale=rng.randint(1, 5),
+            pwin_scale=7,
+            game=SimpleNamespace(n=rng.randint(1, 3)),
+        )
+        pairs = sorted({(w, u) for w, u, ok in zip(pwin, util, nash) if ok and w})
+        csws = _kfold_csws(gt)
+        for k in range(1, 7):
+            num, den = next(csws)
+            want = _multiset_walk(pairs, gt.zero_pwin.any(), k)
+            scale = gt.util_scale * gt.pwin_scale ** (k - 1) * k * gt.game.n
+            assert Fraction(num, den) == Fraction(want, scale), (pairs, k)
+    # the only positive-win profile is not Nash
+    lost = SimpleNamespace(
+        nash=np.array([True, False]),
+        zero_pwin=np.array([True, False]),
+        pwin_num=np.array([0, 3]),
+        sum_util_num=np.array([0, 2]),
+    )
+    with pytest.raises(EmptyEquilibriumSetError):
+        next(_kfold_csws(lost))
+
+
+def test_players_needed_exact_and_minimal_on_builtins():
+    # the printed k is checked against the Fraction oracle at k and k - 1
+    eps = Fraction(1, 100)
+    for name in BUILTIN_NAMES:
+        game = builtin_game(name)
+        for p in range(61):
+            params = PayoffParams(Fraction(p, 60), Fraction(1))
+            res = players_needed(game, params, eps)
+            gt = GroupTable(game, params)
+            q = qsw(params)
+            assert res.achieved_ratio == oracle_kfold_csw(gt, res.k) / q <= eps, (name, p)
+            assert res.k == 1 or oracle_kfold_csw(gt, res.k - 1) / q > eps, (name, p)
 
 
 def test_integer_frontier_matches_fraction_search():

@@ -161,6 +161,45 @@ def test_players_needed_json():
     assert doc["decayFactor"] == "5/6"
 
 
+def test_players_needed_non_geometric_json():
+    # two-point frontiers: c3*c1 != c2^2, and k is the first computed ratio <= eps
+    cases = {
+        ("NC000_C5", "13/60"): {
+            "achievedRatio": "78640000000000000000/8209244707492889698417",
+            "baseRatio": "960/949",
+            "decayFactor": "191/300",
+            "eps": "1/100",
+            "geometricDecay": False,
+            "k": 18,
+            "playerCount": 90,
+        },
+        ("NC00010_C5", "24/60"): {
+            "achievedRatio": "79600000000000000000/10233442032628122774739",
+            "baseRatio": "80/91",
+            "decayFactor": "199/260",
+            "eps": "1/100",
+            "geometricDecay": False,
+            "k": 19,
+            "playerCount": 95,
+        },
+    }
+    for (game, v0), want in cases.items():
+        code, out, err = run_cli("players-needed", "--game", game, "--v0", v0, "--v1", "1", "--eps", "1/100")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == want
+
+
+def test_players_needed_past_200_groups_exits_3():
+    # 5/6 decay from 23/25 reaches 1/10^15 at k = 190 but 1/10^16 only at k = 203
+    base = ("players-needed", "--game", "NC00_C5", "--v0", "2/3", "--v1", "1", "--eps")
+    code, out, err = run_cli(*base, f"1/{10**15}")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["k"] == 190
+    code, out, err = run_cli(*base, f"1/{10**16}")
+    assert (code, out) == (3, "")
+    assert "no k <= 200" in err
+
+
 def test_csw_command():
     code, out, _ = run_cli("csw", "--game", "NC000_C5", "--v0", "2/3", "--v1", "1", "--format", "json")
     assert code == 0
