@@ -61,7 +61,6 @@ from .classical import (
     enumerate_nash,
     enumerate_pareto,
     evaluate,
-    game_automorphisms,
     partition_orbits,
     profile_to_code,
     ratio_regimes,

@@ -485,28 +485,6 @@ class SymmetryGroup:
         return tuple(moved)
 
 
-def _permuted_question_key(q, perm):
-    tbits = [0] * len(q.type_bits)
-    for j, b in enumerate(q.type_bits):
-        tbits[perm[j]] = b
-    return tuple(tbits), frozenset(perm[j] for j in q.involved), q.parity, q.weight
-
-
-def game_automorphisms(game: GameSpec) -> SymmetryGroup:
-    """Player permutations mapping the weighted question multiset to itself."""
-    n = game.n
-    if n > 8:
-        raise SizeLimitError("automorphism search is factorial; limited to n <= 8")
-    target = Counter(
-        (q.type_bits, q.involved, q.parity, q.weight) for q in game.questions
-    )
-    perms = []
-    for perm in itertools.permutations(range(n)):
-        if Counter(_permuted_question_key(q, perm) for q in game.questions) == target:
-            perms.append(perm)
-    return SymmetryGroup(tuple(perms))
-
-
 def reporting_symmetries(game: GameSpec) -> SymmetryGroup:
     """Permutations preserving the graph and the weighted type multiset.
 
@@ -523,8 +501,6 @@ def reporting_symmetries(game: GameSpec) -> SymmetryGroup:
     the permutations come out in lexicographic order.
     """
     n = game.n
-    if n > 8:
-        raise SizeLimitError("symmetry search is factorial; limited to n <= 8")
     # (players of type 1, weight rank) per question: the multiset to keep
     weights = sorted({q.weight for q in game.questions})
     typed = [

@@ -4,7 +4,7 @@ The mediator samples a full profile of local functions and tells each player
 theirs.  Obedience: for every player, recommended function f and alternative
 g, switching from f to g must not raise that player's expected utility.  The
 maximum social welfare over such distributions is a linear program over the
-4^n profile weights.
+4^n profile weights, n <= 8 as ``PayoffTable`` allows.
 
 The program is built as an integer matrix.  A dense float64 simplex that
 enters the column of largest reduced cost (Dantzig's rule), started from a
@@ -12,8 +12,8 @@ pure Nash vertex, only proposes an optimal basis.  That basis is then
 proved feasible and optimal in exact arithmetic (Applegate, Cook, Dash &
 Espinoza, Oper. Res. Lett. 2007): the basic solution and the dual prices
 are solved for in Fractions and every reduced cost is checked in integers.
-If the proof fails, the exact Bland simplex on Fractions solves the program
-from the Nash vertex instead.  No float ever decides the returned value.
+A basis that fails the proof, or a float run that ends without one, is a
+``LinearProgramError``; no float ever decides the returned value.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .classical import _SWITCHES, PayoffTable, _player_axis, enumerate_nash, profile_to_code
-from .errors import EmptyEquilibriumSetError, LinearProgramError, SizeLimitError
+from .errors import EmptyEquilibriumSetError, LinearProgramError
 from .games import GameSpec, PayoffParams
 
 _FLOAT_TOL = 1e-9
@@ -43,10 +43,12 @@ def _obedience_matrix(grid: np.ndarray, n: int) -> np.ndarray:
 
 
 def _float_basis(objective, ge_rows: np.ndarray, start_col: int) -> list[int] | None:
-    """Candidate optimal basis of the program ``_simplex_max`` solves.
+    """Candidate optimal basis of max objective . x over
+    {x >= 0 : sum x = 1, ge_rows @ x >= 0}.
 
-    The same tableau as ``_simplex_max``, in float64 with tolerances, but
-    the entering column is the one with the largest reduced cost (Dantzig's
+    A float64 tableau with tolerances, on ``nx`` profile columns then one
+    slack per row of ``ge_rows``, started from the vertex ``start_col``.
+    The entering column is the one with the largest reduced cost (Dantzig's
     rule); ties in the ratio test leave by the smallest basic column.
     Returns the basic column of every tableau row, or None when the float
     run stops without one (unbounded ray or pivot limit).
@@ -72,8 +74,8 @@ def _float_basis(objective, ge_rows: np.ndarray, start_col: int) -> list[int] | 
 
     basis = [start_col] + [nx + i for i in range(m)]
     pivot(0, start_col)
-    # Dantzig's rule can cycle on a degenerate program; the cap only bounds
-    # the float run, and the exact path follows a miss
+    # Dantzig's rule can cycle on a degenerate program; the cap bounds the
+    # float run, and a miss is reported, never guessed at
     for _ in range(50 * (m + 1)):
         enter = int(np.argmax(tableau[-1, :-1]))
         if tableau[-1, enter] <= _FLOAT_TOL:
@@ -116,7 +118,7 @@ def _solve(matrix, rhs) -> list[Fraction] | None:
 def _certify(objective, ge_rows: np.ndarray, basis: list[int]):
     """Exact (value, solution) of ``basis`` if it is feasible and optimal.
 
-    Columns index the program of ``_simplex_max``: ``nx`` profile columns,
+    Columns index the program of ``_float_basis``: ``nx`` profile columns,
     then one slack per row of ``ge_rows``; its equality rows are the
     normalisation ``sum x = 1`` and ``-ge_rows @ x + s = 0``.  Solves
     ``B x_B = e_0`` and ``B^T y = c_B`` in Fractions, then requires
@@ -160,86 +162,17 @@ def _exact_max(objective, ge_rows: np.ndarray, start_col: int):
     """Maximize objective . x over {x >= 0 : sum x = 1, ge_rows @ x >= 0}.
 
     Integer data; ``start_col`` must index a feasible vertex.  Returns the
-    exact optimum and its nonzero weights by column.  The float basis is
-    used only once ``_certify`` has proved it; otherwise ``_simplex_max``
-    solves the program exactly from ``start_col``.
+    exact optimum and its nonzero weights by column, as ``_certify`` has
+    proved them.  Raises ``LinearProgramError`` when the float pass yields
+    no basis or its basis fails the proof.
     """
     basis = _float_basis(objective, ge_rows, start_col)
-    certified = _certify(objective, ge_rows, basis) if basis is not None else None
-    if certified is not None:
-        return certified
-    cost = [Fraction(int(v)) for v in objective]
-    rows = [[Fraction(v) for v in row] for row in ge_rows.tolist()]
-    value, solution = _simplex_max(cost, [Fraction(1)] * len(cost), rows, start_col)
-    return value, {c: w for c, w in enumerate(solution) if w != 0}
-
-
-def _simplex_max(objective, eq_row, ge_rows, start_col):
-    """Maximize objective over {x >= 0 : eq_row . x = 1, ge_rows . x >= 0}.
-
-    ``start_col`` must index a feasible vertex (all ge_rows nonnegative
-    there), which supplies the initial basis without a phase-1 pass.
-    Entering and leaving variables follow Bland's rule throughout.
-    """
-    nx = len(objective)
-    m = len(ge_rows)
-    width = nx + m + 1
-    # tableau rows: [eq | 0 slacks | rhs], then [-ge | I | 0]
-    tableau = [list(eq_row) + [Fraction(0)] * m + [Fraction(1)]]
-    for i, row in enumerate(ge_rows):
-        trow = [-v for v in row] + [Fraction(0)] * m + [Fraction(0)]
-        trow[nx + i] = Fraction(1)
-        tableau.append(trow)
-    basis = [start_col] + [nx + i for i in range(m)]
-    # price column start_col into the identity position of row 0
-    pivot_val = tableau[0][start_col]
-    if pivot_val == 0:
-        raise LinearProgramError(f"start column {start_col} is not a vertex of the program")
-    tableau[0] = [v / pivot_val for v in tableau[0]]
-    for r in range(1, m + 1):
-        factor = tableau[r][start_col]
-        if factor != 0:
-            tableau[r] = [v - factor * p for v, p in zip(tableau[r], tableau[0])]
-    if any(tableau[r][-1] < 0 for r in range(m + 1)):
-        raise LinearProgramError(f"start vertex {start_col} is infeasible")
-    # reduced costs for maximization: c - c_B . B^{-1} A
-    cost = list(objective) + [Fraction(0)] * m + [Fraction(0)]
-    cb = [cost[b] for b in basis]
-    reduced = [
-        cost[c] - sum(cb[r] * tableau[r][c] for r in range(m + 1)) for c in range(width)
-    ]
-    while True:
-        enter = next((c for c in range(width - 1) if reduced[c] > 0), None)
-        if enter is None:
-            break
-        best_ratio = None
-        leave = None
-        for r in range(m + 1):
-            coeff = tableau[r][enter]
-            if coeff > 0:
-                ratio = tableau[r][-1] / coeff
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[r] < basis[leave]
-                ):
-                    best_ratio = ratio
-                    leave = r
-        if leave is None:
-            raise LinearProgramError("program is unbounded; its feasible set must be a polytope")
-        piv = tableau[leave][enter]
-        tableau[leave] = [v / piv for v in tableau[leave]]
-        for r in range(m + 1):
-            if r != leave and tableau[r][enter] != 0:
-                factor = tableau[r][enter]
-                tableau[r] = [v - factor * p for v, p in zip(tableau[r], tableau[leave])]
-        factor = reduced[enter]
-        reduced = [v - factor * p for v, p in zip(reduced, tableau[leave])]
-        basis[leave] = enter
-    value = sum(cost[b] * tableau[r][-1] for r, b in enumerate(basis))
-    solution = [Fraction(0)] * nx
-    for r, b in enumerate(basis):
-        if b < nx:
-            solution[b] = tableau[r][-1]
-    return value, solution
+    if basis is None:
+        raise LinearProgramError("the float simplex stopped without an optimal basis")
+    certified = _certify(objective, ge_rows, basis)
+    if certified is None:
+        raise LinearProgramError("the float simplex basis failed its exact optimality certificate")
+    return certified
 
 
 def best_correlated_sw(
@@ -252,10 +185,9 @@ def best_correlated_sw(
     """Maximum social welfare over obedient profile distributions.
 
     Point masses on pure Nash profiles are feasible, so the program always
-    has a solution; that Nash vertex seeds the simplex.
+    has a solution; that Nash vertex seeds the simplex.  The value returned
+    is certified exactly; ``LinearProgramError`` is raised otherwise.
     """
-    if game.n > 6:
-        raise SizeLimitError("correlated LP is limited to n <= 6 (4^n variables)")
     table = table or PayoffTable(game)
     nash = enumerate_nash(game, params, table=table)
     if not nash:

@@ -38,7 +38,9 @@ class EmptyEquilibriumSetError(GameError):
 
 
 class LinearProgramError(GameError):
-    """A simplex was started off the feasible set or met an unbounded ray."""
+    """A linear program has no certified optimum: the float pass found no
+    basis or its basis failed the exact proof, or a simplex started off the
+    feasible set or met an unbounded ray."""
 
 
 class InconsistentLawError(GameError):

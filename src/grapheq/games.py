@@ -257,13 +257,16 @@ def game_from_document(doc: dict) -> tuple[GameSpec, PayoffParams]:
         raw_questions = list(doc["questions"])
         payoffs = dict(doc.get("payoffs", {}))
         graph = Graph.from_edges(n, edges)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"bad game document: {exc}") from exc
-    params = PayoffParams(
-        parse_rational(payoffs.get("v0", "0")),
-        parse_rational(payoffs.get("v1", "1")),
-        parse_rational(payoffs.get("ng", "0")),
-    )
+    try:
+        params = PayoffParams(
+            parse_rational(payoffs.get("v0", "0")),
+            parse_rational(payoffs.get("v1", "1")),
+            parse_rational(payoffs.get("ng", "0")),
+        )
+    except ValueError as exc:
+        raise MalformedDocumentError(f"bad payoffs: {exc}") from exc
     questions = []
     for raw in raw_questions:
         try:
@@ -273,8 +276,11 @@ def game_from_document(doc: dict) -> tuple[GameSpec, PayoffParams]:
             gen = _vertex_set(raw["K"], n) if "K" in raw else None
             involved = _vertex_set(raw["I"], n) if "I" in raw else None
             parity = int(raw["b"]) if "b" in raw else None
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise MalformedDocumentError(f"bad question entry {raw!r}: {exc}") from exc
+        # before any derivation, whose cost grows with n
+        if len(tbits) != n:
+            raise MalformedDocumentError(f"{qid}: type vector length != {n}")
         if gen is not None:
             der = derive_question(graph, gen)
             if not der.valid:

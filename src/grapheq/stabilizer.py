@@ -62,12 +62,6 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n), dtype=np.uint8)
-        for u, v in self.edges:
-            adj[u, v] = adj[v, u] = 1
-        return adj
-
     def internal_edge_count(self, subset) -> int:
         s = set(subset)
         return sum(1 for u, v in self.edges if u in s and v in s)

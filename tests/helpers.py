@@ -11,6 +11,7 @@ import numpy as np
 from grapheq import (
     GameSpec,
     Graph,
+    LinearProgramError,
     PayoffParams,
     QuestionSpec,
     SizeLimitError,
@@ -94,6 +95,32 @@ def oracle_reporting_symmetries(game):
                 tbits[perm[j]] = b
             counted[(tuple(tbits), q.weight)] += 1
         if counted == type_target:
+            perms.append(perm)
+    return SymmetryGroup(tuple(perms))
+
+
+def _permuted_question_key(q, perm):
+    tbits = [0] * len(q.type_bits)
+    for j, b in enumerate(q.type_bits):
+        tbits[perm[j]] = b
+    return tuple(tbits), frozenset(perm[j] for j in q.involved), q.parity, q.weight
+
+
+def oracle_game_automorphisms(game):
+    """Player permutations mapping the weighted question multiset to itself.
+
+    The strict game automorphism group by a scan over all n! permutations;
+    no library path needs it, so it lives here as a test oracle.
+    """
+    n = game.n
+    if n > 8:
+        raise SizeLimitError("automorphism search is factorial; limited to n <= 8")
+    target = Counter(
+        (q.type_bits, q.involved, q.parity, q.weight) for q in game.questions
+    )
+    perms = []
+    for perm in itertools.permutations(range(n)):
+        if Counter(_permuted_question_key(q, perm) for q in game.questions) == target:
             perms.append(perm)
     return SymmetryGroup(tuple(perms))
 
@@ -378,3 +405,74 @@ def p_win(gt, code):
     """Win probability of base profile ``code`` in a ``GroupTable``, as a
     Fraction."""
     return Fraction(int(gt.pwin_num[code]), gt.pwin_scale)
+
+
+def _simplex_max(objective, eq_row, ge_rows, start_col):
+    """Maximize objective over {x >= 0 : eq_row . x = 1, ge_rows . x >= 0}.
+
+    An exact Fraction tableau with no pivot cap, kept as the oracle for the
+    certified float basis of ``grapheq.correlated``.
+
+    ``start_col`` must index a feasible vertex (all ge_rows nonnegative
+    there), which supplies the initial basis without a phase-1 pass.
+    Entering and leaving variables follow Bland's rule throughout.
+    """
+    nx = len(objective)
+    m = len(ge_rows)
+    width = nx + m + 1
+    # tableau rows: [eq | 0 slacks | rhs], then [-ge | I | 0]
+    tableau = [list(eq_row) + [Fraction(0)] * m + [Fraction(1)]]
+    for i, row in enumerate(ge_rows):
+        trow = [-v for v in row] + [Fraction(0)] * m + [Fraction(0)]
+        trow[nx + i] = Fraction(1)
+        tableau.append(trow)
+    basis = [start_col] + [nx + i for i in range(m)]
+    # price column start_col into the identity position of row 0
+    pivot_val = tableau[0][start_col]
+    if pivot_val == 0:
+        raise LinearProgramError(f"start column {start_col} is not a vertex of the program")
+    tableau[0] = [v / pivot_val for v in tableau[0]]
+    for r in range(1, m + 1):
+        factor = tableau[r][start_col]
+        if factor != 0:
+            tableau[r] = [v - factor * p for v, p in zip(tableau[r], tableau[0])]
+    if any(tableau[r][-1] < 0 for r in range(m + 1)):
+        raise LinearProgramError(f"start vertex {start_col} is infeasible")
+    # reduced costs for maximization: c - c_B . B^{-1} A
+    cost = list(objective) + [Fraction(0)] * m + [Fraction(0)]
+    cb = [cost[b] for b in basis]
+    reduced = [
+        cost[c] - sum(cb[r] * tableau[r][c] for r in range(m + 1)) for c in range(width)
+    ]
+    while True:
+        enter = next((c for c in range(width - 1) if reduced[c] > 0), None)
+        if enter is None:
+            break
+        best_ratio = None
+        leave = None
+        for r in range(m + 1):
+            coeff = tableau[r][enter]
+            if coeff > 0:
+                ratio = tableau[r][-1] / coeff
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[r] < basis[leave]
+                ):
+                    best_ratio = ratio
+                    leave = r
+        if leave is None:
+            raise LinearProgramError("program is unbounded; its feasible set must be a polytope")
+        piv = tableau[leave][enter]
+        tableau[leave] = [v / piv for v in tableau[leave]]
+        for r in range(m + 1):
+            if r != leave and tableau[r][enter] != 0:
+                factor = tableau[r][enter]
+                tableau[r] = [v - factor * p for v, p in zip(tableau[r], tableau[leave])]
+        factor = reduced[enter]
+        reduced = [v - factor * p for v, p in zip(reduced, tableau[leave])]
+        basis[leave] = enter
+    value = sum(cost[b] * tableau[r][-1] for r, b in enumerate(basis))
+    solution = [Fraction(0)] * nx
+    for r, b in enumerate(basis):
+        if b < nx:
+            solution[b] = tableau[r][-1]
+    return value, solution

@@ -19,7 +19,6 @@ from grapheq import (
     enumerate_nash,
     enumerate_pareto,
     evaluate,
-    game_automorphisms,
     game_from_document,
     partition_orbits,
     profile_to_code,
@@ -37,6 +36,7 @@ from helpers import (
     brute_force_sets,
     cycle_game,
     oracle_evaluate,
+    oracle_game_automorphisms,
     oracle_payoff_table,
     oracle_payoff_value,
     oracle_profile_interval,
@@ -170,12 +170,12 @@ def test_all_none_profile_never_nash_in_nc01():
 
 
 def test_automorphism_orders():
-    assert game_automorphisms(builtin_game("NC00_C5")).order == 10
-    assert game_automorphisms(builtin_game("NC000_C5")).order == 10
+    assert oracle_game_automorphisms(builtin_game("NC00_C5")).order == 10
+    assert oracle_game_automorphisms(builtin_game("NC000_C5")).order == 10
     # the offset type patterns pair each involved set with a rotated type,
     # which reflections cannot preserve
-    assert game_automorphisms(builtin_game("NC01_C5")).order == 5
-    assert game_automorphisms(builtin_game("NC00010_C5")).order == 5
+    assert oracle_game_automorphisms(builtin_game("NC01_C5")).order == 5
+    assert oracle_game_automorphisms(builtin_game("NC00010_C5")).order == 5
     for name in ("NC00_C5", "NC01_C5", "NC000_C5", "NC00010_C5"):
         assert reporting_symmetries(builtin_game(name)).order == 10
 
@@ -183,7 +183,7 @@ def test_automorphism_orders():
 def test_automorphisms_form_group_and_preserve_nash():
     for name in ("NC00_C5", "NC01_C5"):
         game = builtin_game(name)
-        group = game_automorphisms(game)
+        group = oracle_game_automorphisms(game)
         perms = set(group.permutations)
         assert tuple(range(5)) in perms
         for a in perms:
@@ -199,9 +199,9 @@ def test_automorphisms_form_group_and_preserve_nash():
 
 def test_symmetry_toy_games():
     symmetric = toy_two_player_game()
-    assert game_automorphisms(symmetric).order == 2
+    assert oracle_game_automorphisms(symmetric).order == 2
     lopsided = toy_two_player_game(Fraction(1, 3), Fraction(2, 3), name="toy2")
-    assert game_automorphisms(lopsided).order == 1
+    assert oracle_game_automorphisms(lopsided).order == 1
 
 
 def path_game(n):
@@ -240,6 +240,18 @@ SYMMETRY_GAMES = (
 def test_reporting_symmetries_match_permutation_scan(game):
     # same permutations in the same lexicographic order
     assert reporting_symmetries(game) == oracle_reporting_symmetries(game)
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_reporting_symmetries_past_eight_players(n):
+    # the backtracking search has no size guard: C_n keeps its dihedral
+    # group, of order 2n, where a scan over n! permutations is out of reach
+    dihedral = {
+        tuple((s + sign * j) % n for j in range(n)) for s in range(n) for sign in (1, -1)
+    }
+    group = reporting_symmetries(cycle_game(n))
+    assert group.order == 2 * n
+    assert set(group.permutations) == dihedral
 
 
 def test_type_multiset_rejects_graph_automorphisms():

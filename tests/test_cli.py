@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -143,10 +144,13 @@ def test_malformed_document_exits_3(tmp_path):
     out_of_range = json.loads(json.dumps(base))
     out_of_range["questions"][1]["K"] = [7]
     not_a_list = dict(base, questions=5)
-    for doc in (out_of_range, not_a_list):
+    huge_n = dict(base, n=10**30)
+    for doc in (out_of_range, not_a_list, huge_n):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
+        began = time.perf_counter()
         code, out, err = run_cli("nash", "--game", str(path))
+        assert time.perf_counter() - began < 1
         assert (code, out) == (3, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
@@ -289,6 +293,28 @@ def test_verify_corrupted_game_file_exits_1(tmp_path):
     assert code == 1
     first = out.strip().splitlines()[0]
     assert first.startswith("FAIL game-file")
+
+
+def test_verify_invalid_payoffs_fail_game_file(tmp_path):
+    doc = game_to_document(builtin_game("NC00_C5"), PayoffParams(Fraction(2, 3), Fraction(1)))
+    doc["payoffs"]["v0"] = "2"  # v0 > v1
+    path = tmp_path / "payoffs.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli("verify", "--game", str(path), "--checks", "nash-counts")
+    assert code == 1
+    assert out.splitlines()[0].startswith("FAIL game-file: bad payoffs")
+    code, out, err = run_cli("nash", "--game", str(path))
+    assert (code, out) == (3, "") and err.startswith("error: bad payoffs")
+
+
+def test_corr_lp_on_seven_player_game_file(tmp_path):
+    path = tmp_path / "c7.json"
+    path.write_text(json.dumps(game_to_document(cycle_game(7), PayoffParams(Fraction(2, 3), Fraction(1)))))
+    code, out, _ = run_cli("corr-lp", "--game", str(path))
+    assert code == 0
+    assert json.loads(out) == {
+        "game": "C7", "bestCorrelatedSW": "205/248", "bestNashSW": "45/56", "qsw": "5/6"
+    }
 
 
 def test_huge_weight_denominators_exit_0(tmp_path):

@@ -1,11 +1,16 @@
 """Obedient correlated advice: exact LP value and feasibility of the optimum."""
 
+import io
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grapheq import (
+    BUILTIN_NAMES,
     EmptyEquilibriumSetError,
     LinearProgramError,
     PayoffParams,
@@ -14,15 +19,15 @@ from grapheq import (
     builtin_game,
     qsw,
 )
-from grapheq import correlated
+from grapheq import cli, correlated
 from grapheq.classical import (
     LOCAL_FN_COUNT,
     PayoffTable,
     enumerate_nash,
     profile_to_code,
 )
-from grapheq.correlated import _certify, _exact_max, _float_basis, _obedience_matrix, _simplex_max
-from helpers import cycle_game, toy_two_player_game
+from grapheq.correlated import _certify, _exact_max, _float_basis, _obedience_matrix
+from helpers import _simplex_max, cycle_game, toy_two_player_game
 
 PARAMS = PayoffParams(Fraction(2, 3), Fraction(1))
 
@@ -51,7 +56,7 @@ def obedience_violations(game, params, dist):
 
 
 def test_correlated_value_regression_nc00():
-    # frozen output of the exact simplex; sits strictly between the best
+    # frozen certified optimum; sits strictly between the best
     # pure Nash SW and the advice SW at these payoffs
     value, dist = best_correlated_sw(builtin_game("NC00_C5"), PARAMS, return_distribution=True)
     assert value == Fraction(97, 126)
@@ -177,21 +182,17 @@ def lp_data(game, params):
     return grid.sum(axis=1), _obedience_matrix(grid, game.n), start, scale * game.n
 
 
-def certified_value(monkeypatch, game, params):
-    """``best_correlated_sw`` with the exact fallback disabled, so the float
-    basis must certify.  The optimum is checked for obedience, for its own
-    score and against HiGHS."""
-
-    def no_fallback(*_):
-        raise AssertionError("the float basis was not certified")
-
-    monkeypatch.setattr(correlated, "_simplex_max", no_fallback)
+def certified_value(game, params):
+    """``best_correlated_sw``, whose value is certified or raises.  The
+    optimum is checked for obedience and for its own score, and against
+    HiGHS up to n = 6 (the reference rows are built by a Python loop)."""
     value, dist = best_correlated_sw(game, params, return_distribution=True)
     assert sum(dist.values()) == 1 and all(w > 0 for w in dist.values())
     assert obedience_violations(game, params, dist) == []
     table = PayoffTable(game)
     assert sum(w * table.social_welfare(code, params) for code, w in dist.items()) == value
-    assert abs(float(value) - float_optimum(game, params)) < 1e-9
+    if game.n <= 6:
+        assert abs(float(value) - float_optimum(game, params)) < 1e-9
     return value
 
 
@@ -205,15 +206,39 @@ def certified_value(monkeypatch, game, params):
         (builtin_game("NC01_C5"), Fraction(2, 3), Fraction(7, 9)),
         (cycle_game(6), Fraction(1, 6), Fraction(16, 21)),
         (cycle_game(6), Fraction(2, 3), Fraction(19, 21)),
+        (cycle_game(7), Fraction(1, 6), Fraction(269, 376)),
+        (cycle_game(7), Fraction(1, 2), Fraction(121, 152)),
+        (cycle_game(7), Fraction(2, 3), Fraction(205, 248)),
+        (cycle_game(8), Fraction(1, 6), Fraction(22, 27)),
+        (cycle_game(8), Fraction(1, 2), Fraction(8, 9)),
+        (cycle_game(8), Fraction(2, 3), Fraction(25, 27)),
     ],
-    ids=["NC00-1/6", "NC00-1/4", "NC00-17/60", "NC01-1/6", "NC01-2/3", "C6-1/6", "C6-2/3"],
+    ids=[
+        "NC00-1/6", "NC00-1/4", "NC00-17/60", "NC01-1/6", "NC01-2/3", "C6-1/6", "C6-2/3",
+        "C7-1/6", "C7-1/2", "C7-2/3", "C8-1/6", "C8-1/2", "C8-2/3",
+    ],
 )
-def test_correlated_value_regressions(monkeypatch, game, ratio, expected):
-    assert certified_value(monkeypatch, game, PayoffParams(ratio, Fraction(1))) == expected
+def test_correlated_value_regressions(game, ratio, expected):
+    assert certified_value(game, PayoffParams(ratio, Fraction(1))) == expected
+
+
+LP_GAMES = {name: builtin_game(name) for name in BUILTIN_NAMES} | {
+    f"C{n}": cycle_game(n) for n in (4, 5, 6)
+}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(LP_GAMES)),
+    ratio=st.integers(1, 60).flatmap(lambda q: st.integers(0, q).map(lambda p: Fraction(p, q))),
+)
+def test_correlated_certifies_at_random_ratios(name, ratio):
+    game, params = LP_GAMES[name], PayoffParams(ratio, Fraction(1))
+    assert certified_value(game, params) >= best_csw(game, params)[0]
 
 
 # ratios p/60 where a float pass entering by Bland's rule stalled and the
-# exact fallback did not finish
+# exact tableau did not finish
 STALLED_RATIOS = {
     "NC00_C5": (15, 17, 57),
     "NC01_C5": (13, 16, 58),
@@ -225,10 +250,10 @@ STALLED_RATIOS = {
 @pytest.mark.parametrize(
     "name, p", [(name, p) for name, ps in STALLED_RATIOS.items() for p in ps], ids=str
 )
-def test_float_basis_certifies_where_bland_stalled(monkeypatch, name, p):
+def test_float_basis_certifies_where_bland_stalled(name, p):
     game = builtin_game(name)
     params = PayoffParams(Fraction(p, 60), Fraction(1))
-    assert certified_value(monkeypatch, game, params) >= best_csw(game, params)[0]
+    assert certified_value(game, params) >= best_csw(game, params)[0]
 
 
 def test_obedience_matrix_matches_loop_reference():
@@ -249,28 +274,44 @@ def test_certifier_rejects_feasible_nonoptimal_basis():
     assert sum(dist.values()) == 1
 
 
-@pytest.mark.parametrize("float_result", ["nash-start", "none"])
-def test_failed_certificate_falls_back_to_exact_simplex(monkeypatch, float_result):
+def test_certified_optimum_matches_exact_tableau_on_c4():
     # on C4 the Nash-start basis is feasible but not optimal, and the exact
-    # simplex is quick enough to serve as the oracle
-    game, params = cycle_game(4), PayoffParams(Fraction(2, 3), Fraction(1))
-    objective, rows, start, unit = lp_data(game, params)
+    # tableau is quick enough to serve as the oracle
+    game, params = cycle_game(4), PARAMS
+    objective, rows, start, _ = lp_data(game, params)
+    m, nx = rows.shape
+    assert _certify(objective, rows, [start] + [nx + i for i in range(m)]) is None
+    table = PayoffTable(game)
+    ref_value, _ = _simplex_max(
+        [table.social_welfare(code, params) for code in range(table.ncodes)],
+        [Fraction(1)] * table.ncodes,
+        [[Fraction(v) for v in row] for row in obedience_rows_reference(table, params)],
+        start,
+    )
+    assert best_correlated_sw(game, params) == ref_value == Fraction(9, 10)
+
+
+@pytest.mark.parametrize("float_result", ["nash-start", "none"])
+def test_failed_certificate_raises_typed_error(monkeypatch, float_result):
+    # NC00_C5 at 1/6: the exact tableau took 58-160 s from the Nash vertex,
+    # so a failed certificate must end at once, as an input error
+    game, params = builtin_game("NC00_C5"), PayoffParams(Fraction(1, 6), Fraction(1))
+    objective, rows, start, _ = lp_data(game, params)
     m, nx = rows.shape
     nash_basis = [start] + [nx + i for i in range(m)]
     assert _certify(objective, rows, nash_basis) is None
     monkeypatch.setattr(
         correlated, "_float_basis", lambda *_: nash_basis if float_result == "nash-start" else None
     )
-    value, dist = best_correlated_sw(game, params, return_distribution=True)
-    table = PayoffTable(game)
-    ref_value, ref_solution = _simplex_max(
-        [table.social_welfare(code, params) for code in range(table.ncodes)],
-        [Fraction(1)] * table.ncodes,
-        [[Fraction(v) for v in row] for row in obedience_rows_reference(table, params)],
-        start,
-    )
-    assert value == ref_value == Fraction(9, 10)
-    assert dist == {code: w for code, w in enumerate(ref_solution) if w != 0}
+    began = time.perf_counter()
+    with pytest.raises(LinearProgramError):
+        best_correlated_sw(game, params)
+    assert time.perf_counter() - began < 1
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["corr-lp", "--game", "NC00_C5", "--v0", "1/6", "--v1", "1"])
+    assert (code, out.getvalue()) == (3, "")
+    assert err.getvalue().startswith("error:")
 
 
 def test_simplex_raises_typed_errors():

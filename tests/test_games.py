@@ -1,14 +1,17 @@
 """Builtin game definitions, involvement probabilities, and the file format."""
 
+import copy
 import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grapheq import (
     BUILTIN_NAMES,
     ConditioningOnImpossibleType,
+    GameError,
     GameSpec,
     Graph,
     InvalidGeneratorError,
@@ -23,7 +26,7 @@ from grapheq import (
     game_to_document,
     p_involved,
 )
-from helpers import edgeless
+from helpers import cycle_game, edgeless
 
 PARAMS = PayoffParams(Fraction(2, 3), Fraction(1))
 
@@ -267,6 +270,14 @@ MALFORMED_EDITS = {
     "question not an object": lambda doc: doc["questions"].__setitem__(1, 5),
     "payoffs not an object": lambda doc: doc.update(payoffs=5),
     "edge outside the vertices": lambda doc: doc.update(edges=[[0, 9]]),
+    "v0 above v1": lambda doc: doc["payoffs"].update(v0="2", v1="1"),
+    "negative penalty": lambda doc: doc["payoffs"].update(ng="-1"),
+    "v1 zero": lambda doc: doc["payoffs"].update(v0="0", v1="0"),
+    "n infinite": lambda doc: doc.update(n=float("inf")),
+    "b infinite": lambda doc: doc["questions"][1].update(b=float("inf")),
+    # type vectors are checked against n before any derivation, whose cost
+    # grows with n
+    "n huge": lambda doc: doc.update(n=10**30),
 }
 
 
@@ -286,3 +297,78 @@ def test_payoff_params_validation():
     with pytest.raises(ValueError):
         PayoffParams(Fraction(1, 2), Fraction(1), Fraction(-1))
     assert PayoffParams(Fraction(1, 2), Fraction(1)).ratio == Fraction(1, 2)
+
+
+FUZZ_BASES = [game_to_document(builtin_game(name), PARAMS) for name in BUILTIN_NAMES] + [
+    game_to_document(cycle_game(4), PARAMS)
+]
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 9), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 9), max_size=2),
+)
+
+
+def document_slots(doc):
+    """Every (container, key) of a game document that an edit can reach:
+    the top-level keys, the payoff fields and each question's fields."""
+    slots = [(doc, key) for key in doc]
+    if isinstance(doc.get("payoffs"), dict):
+        slots += [(doc["payoffs"], key) for key in doc["payoffs"]]
+    if isinstance(doc.get("questions"), list):
+        for q in doc["questions"]:
+            if isinstance(q, dict):
+                slots += [(q, key) for key in q]
+    return slots
+
+
+def fuzz_edit(doc, data):
+    """Apply one structural fault, drawn by ``data``, to ``doc`` in place."""
+    slots = document_slots(doc)
+    if not slots:
+        return
+    kind = data.draw(st.sampled_from(["drop", "retype", "index", "duplicate", "float", "huge-n"]))
+    container, key = data.draw(st.sampled_from(slots))
+    if kind == "drop":
+        del container[key]
+    elif kind == "retype":
+        container[key] = data.draw(JSON_VALUES)
+    elif kind == "index":
+        value = container[key]
+        index = data.draw(st.integers(-(10**20), 10**20) | st.integers(-2, 12))
+        if isinstance(value, list) and value and not isinstance(value[0], list):
+            value[data.draw(st.integers(0, len(value) - 1))] = index
+        elif isinstance(doc.get("edges"), list) and doc["edges"]:
+            doc["edges"][0] = [index, data.draw(st.integers(-2, 12))]
+    elif kind == "duplicate":
+        questions = doc.get("questions")
+        if isinstance(questions, list) and questions:
+            twin = copy.deepcopy(data.draw(st.sampled_from(questions)))
+            if isinstance(twin, dict) and data.draw(st.booleans()):
+                twin["id"] = "twin"  # a fresh id, so only the question repeats
+            questions.append(twin)
+    elif kind == "float":
+        try:
+            container[key] = float(Fraction(container[key]))
+        except (OverflowError, TypeError, ValueError, ZeroDivisionError):
+            container[key] = data.draw(st.floats(-1, 2))
+    else:
+        doc["n"] = data.draw(st.sampled_from([9, 10**6, 10**30, -1]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(base=st.sampled_from(FUZZ_BASES), edits=st.integers(1, 3), data=st.data())
+def test_fuzzed_documents_round_trip_or_raise_game_errors(base, edits, data):
+    doc = copy.deepcopy(base)
+    for _ in range(edits):
+        fuzz_edit(doc, data)
+    try:
+        game, params = game_from_document(doc)
+    except GameError:
+        return
+    again = json.loads(json.dumps(game_to_document(game, params)))
+    assert game_from_document(again) == (game, params)
