@@ -36,11 +36,12 @@ from .classical import (
     EquilibriumReport,
     PayoffTable,
     _deviation_gains,
+    _exact_dtype,
     _nash_mask,
+    _profiles,
+    _welfare,
     apply_local,
     build_report,
-    enumerate_nash,
-    profile_to_code,
 )
 from .errors import EmptyEquilibriumSetError, SizeLimitError, UnsupportedGameError
 from .games import GameSpec, PayoffParams
@@ -70,10 +71,10 @@ def penalty_report(game: GameSpec, params: PayoffParams, *, table: PayoffTable |
     its social welfare stays (v0+v1)/2 for every Ng.
     """
     table = table or PayoffTable(game)
-    profiles = enumerate_nash(game, params, table=table)
-    report = build_report(game, profiles, "nash", params=params, table=table)
-    nums, den = table.welfare_nums([profile_to_code(p, game.n) for p in profiles], params)
-    sws = tuple(Fraction(num, den * game.n) for num in nums.tolist())
+    grid, den = table.utility_grid(params)
+    nash = _nash_mask(grid, game.n)
+    report = build_report(game, _profiles(nash, game.n), "nash", params=params, table=table)
+    sws = tuple(Fraction(num, den * game.n) for num in _welfare(grid[nash]).tolist())
     return PenaltyReport(report, sws, qsw(params))
 
 
@@ -170,8 +171,7 @@ class GroupTable:
     For every base profile: the winning-part utility of each player, their
     sum, the win probability, and whether the profile is Nash in the base
     game.  At penalty 0 a utility is its winning part, so ``win_util_num``
-    is the ``utility_grid`` of ``params``.  All values exact: the sums hold
-    Python integers when a row of the grid could overflow int64.
+    is the ``utility_grid`` of ``params``, and the sums are its ``_welfare``.
     """
 
     def __init__(self, game: GameSpec, params: PayoffParams, table: PayoffTable | None = None):
@@ -186,10 +186,7 @@ class GroupTable:
         self.pwin_scale = tbl.scale
         self.nash = _nash_mask(self.win_util_num, tbl.n)
         self.zero_pwin = self.pwin_num == 0
-        grid = self.win_util_num
-        if tbl.n * int(np.abs(grid).max(initial=0)) >= 2**62:
-            grid = grid.astype(object)
-        self.sum_util_num = grid.sum(axis=1)
+        self.sum_util_num = _welfare(self.win_util_num)
 
 
 @dataclass(frozen=True)
@@ -230,10 +227,8 @@ def product_nash_matrix_bruteforce(game: GameSpec, params: PayoffParams, gt: Gro
     gt = gt or GroupTable(game, params)
     n = game.n
     ncodes = gt.table.ncodes
-    win_u = gt.win_util_num
-    pw = gt.pwin_num
-    if int(np.abs(win_u).max(initial=0)) * int(pw.max(initial=0)) >= 2**62:
-        win_u, pw = win_u.astype(object), pw.astype(object)
+    dtype = _exact_dtype(int(np.abs(gt.win_util_num).max(initial=0)) * int(gt.pwin_num.max(initial=0)))
+    win_u, pw = gt.win_util_num.astype(dtype, copy=False), gt.pwin_num.astype(dtype, copy=False)
     gains = np.concatenate([_deviation_gains(win_u, n, j) for j in range(n)])
     viol = np.zeros((ncodes, ncodes), dtype=bool)
     for rows in _row_blocks(ncodes):
@@ -277,9 +272,8 @@ def _pair_bruteforce_csw(gt: GroupTable, nash: np.ndarray) -> KfoldReport:
     brute force, scored as actual integer products."""
     # SW(a,b) = sumU[a]*pwin[b] + sumU[b]*pwin[a], exact integers, scored
     # on the Nash pairs of one row block at a time
-    sum_u, pw = gt.sum_util_num, gt.pwin_num
-    if 2 * int(np.abs(sum_u).max(initial=0)) * int(pw.max(initial=0)) >= 2**62:
-        sum_u, pw = sum_u.astype(object), pw.astype(object)
+    dtype = _exact_dtype(2 * int(np.abs(gt.sum_util_num).max(initial=0)) * int(gt.pwin_num.max(initial=0)))
+    sum_u, pw = gt.sum_util_num.astype(dtype, copy=False), gt.pwin_num.astype(dtype, copy=False)
     best = None
     for rows in _row_blocks(gt.table.ncodes):
         a, b = np.nonzero(nash[rows])

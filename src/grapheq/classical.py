@@ -13,11 +13,11 @@ local function on an axis, so each unilateral deviation is a slice.  The
 ``PayoffTable`` is one integer kernel: win bits from n broadcast XORs, then
 one contraction per player and answer on the same view.  Its four coefficient
 arrays are stored player-major in int8 when the weight scale fits (every
-builtin and cycle game), else in int64 (Python integers from a scale of
-2^62), and are cast to int64 or Python integers before any product.  Values are exact integers (Python
-integers where int64 could overflow); no float decides anything.  Social
-welfare is one integer row sum per selected profile
-(``PayoffTable.welfare_nums``), turned into a Fraction only for an answer.
+builtin and cycle game), else in ``_exact_dtype`` of the scale, and are cast
+before any product.  Values are exact integers: ``_exact_dtype`` is the one
+rule that picks int64 or Python integers for a bound, and no float decides
+anything.  Social welfare is the integer row sum ``_welfare`` of a utility
+grid, turned into a Fraction only for an answer.
 Reporting symmetries come from a backtracking search that extends a partial
 player map only while it preserves adjacency and degree.
 """
@@ -128,12 +128,25 @@ def evaluate(game: GameSpec, profile) -> ProfileEvaluation:
     return ProfileEvaluation(profile, payoffs, tuple(win_bits), exact[p_win])
 
 
+def _exact_dtype(bound: int) -> np.dtype:
+    """The package's one overflow rule: int64 holds integers of magnitude
+    below ``bound``, and the sum or difference of two, when ``bound`` < 2^62;
+    past that, Python integers (object)."""
+    return np.dtype(np.int64 if bound < 2**62 else object)
+
+
 def _entry_dtype(scale: int) -> np.dtype:
-    """int8 when it holds ``scale``, else int64; Python integers (object)
-    from 2^62 on, where int64 sums could overflow."""
+    """int8 when it holds ``scale``, else ``_exact_dtype(scale)``."""
     if scale <= np.iinfo(np.int8).max:
         return np.dtype(np.int8)
-    return np.dtype(np.int64 if scale < 2**62 else object)
+    return _exact_dtype(scale)
+
+
+def _welfare(rows: np.ndarray) -> np.ndarray:
+    """Row sums of a utility grid, exact: Python integers replace int64 when
+    n times the largest magnitude could overflow it."""
+    bound = rows.shape[1] * int(np.abs(rows).max(initial=0))
+    return rows.astype(_exact_dtype(bound), copy=False).sum(axis=1)
 
 
 class PayoffTable:
@@ -154,11 +167,10 @@ class PayoffTable:
 
     Each coefficient array is stored player-major, as ``(n, 4^n)``, and
     exposed transposed, so each player's column is contiguous.  Entries are
-    int8 when ``scale`` <= 127 (every builtin and cycle game), else int64,
-    and Python integers (object) from ``scale`` >= 2^62 on.  Signed, so the
-    difference of two entries is still exact.  Arithmetic on whole int8
-    arrays wraps without a warning: callers cast to int64 or object before
-    they multiply.
+    int8 when ``scale`` <= 127 (every builtin and cycle game), else of
+    ``_exact_dtype(scale)``; signed, so the difference of two stays exact.
+    Arithmetic on whole int8 arrays wraps without a warning: callers cast
+    to int64 or object before they multiply.
     """
 
     def __init__(self, game: GameSpec):
@@ -194,7 +206,7 @@ class PayoffTable:
         targets = np.array([q.parity for q in game.questions], dtype=np.uint8)
         win = (parity == targets.reshape((nq,) + (1,) * n)).reshape(nq, self.ncodes)
         self.win_bits = win.T
-        self.pwin_num = weights.astype(object if dtype == object else np.int64) @ win
+        self.pwin_num = weights.astype(_exact_dtype(self.scale)) @ win
         bits = win.view(np.int8).T
         coefficients = [np.empty((n, self.ncodes), dtype=dtype) for _ in range(4)]
         win0, win1, lose0, lose1 = coefficients
@@ -222,13 +234,12 @@ class PayoffTable:
     def utility_grid(self, params: PayoffParams) -> tuple[np.ndarray, int]:
         """Utilities of all (profile, player) pairs times ``scale * lcm``.
 
-        Each player's column is contiguous.  Falls back to arbitrary-precision
-        objects if int64 could overflow.
-        """
+        Each player's column is contiguous; the dtype is ``_exact_dtype`` of
+        the largest magnitude."""
         a0, a1, g0, g1, lden = _payoff_integers(params)
         bound = self.scale * (abs(a0) + abs(a1) + abs(g0) + abs(g1))
         # built player-major, with temporaries of one column only
-        grid = np.empty((self.n, self.ncodes), dtype=np.int64 if bound < 2**62 else object)
+        grid = np.empty((self.n, self.ncodes), dtype=_exact_dtype(bound))
         for j, row in enumerate(grid):
             w0, w1, l0, l1 = (
                 c[:, j].astype(grid.dtype, copy=False)
@@ -236,26 +247,6 @@ class PayoffTable:
             )
             row[...] = w0 * a0 + w1 * a1 - l0 * g0 - l1 * g1
         return grid.T, self.scale * lden
-
-    def welfare_nums(self, codes, params: PayoffParams) -> tuple[np.ndarray, int]:
-        """Summed utility of every profile in ``codes``, as integers over
-        the returned ``scale * lcm`` (the row sums of ``utility_grid``).
-
-        Python integers replace int64 when n times the largest utility
-        could overflow it.
-        """
-        a0, a1, g0, g1, lden = _payoff_integers(params)
-        bound = self.n * self.scale * (abs(a0) + abs(a1) + abs(g0) + abs(g1))
-        dtype = np.int64 if bound < 2**62 else object
-        codes = np.asarray(codes, dtype=np.int64)
-        total = np.zeros(codes.size, dtype=dtype)
-        for c, a in ((self.win0, a0), (self.win1, a1), (self.lose0, -g0), (self.lose1, -g1)):
-            total += c[codes].sum(axis=1).astype(dtype) * a
-        return total, self.scale * lden
-
-    def social_welfare(self, code: int, params: PayoffParams) -> Fraction:
-        nums, den = self.welfare_nums([code], params)
-        return Fraction(int(nums[0]), den * self.n)
 
 
 def _payoff_integers(params: PayoffParams) -> tuple[int, int, int, int, int]:
@@ -412,7 +403,7 @@ def ratio_regimes(
     # every a, b and reduced numerator or denominator lies in [-cap, cap]
     cap = (pd + abs(pn)) * table.scale
     keyed = cap + 1
-    dtype = np.int64 if (keyed + 1) ** 2 < 2**62 else object
+    dtype = _exact_dtype((keyed + 1) ** 2)
     slope, offset = (
         pd * won.astype(dtype) - pn * lost.astype(dtype)
         for won, lost in ((table.win0, table.lose0), (table.win1, table.lose1))
@@ -622,10 +613,11 @@ def best_csw(
         raise ValueError(f"unknown criterion {criterion!r}")
     table = table or PayoffTable(game)
     n = table.n
-    codes = np.flatnonzero(scans[criterion](table.utility_grid(params)[0], n))
+    grid, den = table.utility_grid(params)
+    codes = np.flatnonzero(scans[criterion](grid, n))
     if codes.size == 0:
         raise EmptyEquilibriumSetError(f"no {criterion} profile for {game.name}")
-    nums, den = table.welfare_nums(codes, params)
+    nums = _welfare(grid[codes])
     best = nums.max()
     argmax = [_interned_profile(c, n) for c in codes[nums == best].tolist()]
     return Fraction(int(best), den * n), argmax

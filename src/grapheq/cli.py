@@ -320,8 +320,9 @@ def _cmd_quantum(args) -> int:
 def _cmd_corr_lp(args) -> int:
     game, file_params = _load_game(args.game)
     params = _params_from_args(args, file_params)
-    value = best_correlated_sw(game, params)
-    nash_value, _ = best_csw(game, params)
+    table = PayoffTable(game)
+    value = best_correlated_sw(game, params, table=table)
+    nash_value, _ = best_csw(game, params, table=table)
     doc = {
         "game": game.name,
         "bestCorrelatedSW": _fr(value),

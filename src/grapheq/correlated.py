@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classical import _SWITCHES, PayoffTable, _player_axis, enumerate_nash, profile_to_code
+from .classical import _SWITCHES, PayoffTable, _nash_mask, _player_axis, _welfare
 from .errors import EmptyEquilibriumSetError, LinearProgramError
 from .games import GameSpec, PayoffParams
 
@@ -189,12 +189,11 @@ def best_correlated_sw(
     is certified exactly; ``LinearProgramError`` is raised otherwise.
     """
     table = table or PayoffTable(game)
-    nash = enumerate_nash(game, params, table=table)
-    if not nash:
-        raise EmptyEquilibriumSetError("no pure Nash profile to start the correlated LP from")
     grid, scale = table.utility_grid(params)
-    start = profile_to_code(nash[0], table.n)
-    value, dist = _exact_max(grid.sum(axis=1), _obedience_matrix(grid, table.n), start)
+    nash = np.flatnonzero(_nash_mask(grid, table.n))
+    if nash.size == 0:
+        raise EmptyEquilibriumSetError("no pure Nash profile to start the correlated LP from")
+    value, dist = _exact_max(_welfare(grid), _obedience_matrix(grid, table.n), int(nash[0]))
     value /= scale * table.n
     if return_distribution:
         return value, dist

@@ -39,8 +39,7 @@ class EmptyEquilibriumSetError(GameError):
 
 class LinearProgramError(GameError):
     """A linear program has no certified optimum: the float pass found no
-    basis or its basis failed the exact proof, or a simplex started off the
-    feasible set or met an unbounded ray."""
+    basis, or its basis failed the exact proof."""
 
 
 class InconsistentLawError(GameError):

@@ -20,15 +20,23 @@ from .errors import (
 )
 from .stabilizer import Graph, derive_question
 
+# Python's default limit on the digits of an integer literal
+_MAX_EXPONENT = 4300
+
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" or "p" into an exact Fraction."""
+    """Parse "p/q", "p" or a decimal such as "1.5e-3" into an exact Fraction;
+    an exponent beyond ``_MAX_EXPONENT`` is refused before it is expanded."""
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, Fraction):
         return text
+    text = str(text).strip()
     try:
-        return Fraction(str(text).strip())
+        _, marked, exponent = text.lower().partition("e")
+        if marked and abs(int(exponent)) > _MAX_EXPONENT:
+            raise ValueError("exponent out of range")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedDocumentError(f"bad rational literal {text!r}") from exc
 

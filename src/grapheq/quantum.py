@@ -247,16 +247,20 @@ def is_quantum_nash(game: GameSpec, params: PayoffParams) -> bool:
 
     Decided twice, by the involvement bound of ``quantum_threshold`` and by
     scanning all 16 post-processing policies of every player against the
-    equilibrium utility (v0+v1)/2 in integers over the deviation table; the
-    two must agree.
+    equilibrium utility (v0+v1)/2 in integers over the deviation table.  The
+    threshold assumes uniform advice marginals; when the two disagree, an
+    ``UnsupportedGameError`` names a non-uniform (question, player) pair.
     """
     if params.penalty != 0:
         raise ValueError("equilibrium test applies to the base game (penalty 0)")
     threshold = quantum_threshold(game).holds_at(params)
-    exhaustive = deviation_table(game).advice_is_nash(params.v0, params.v1)
+    advice = advice_correlation(game)
+    exhaustive = deviation_table(game, advice).advice_is_nash(params.v0, params.v1)
     if threshold != exhaustive:
-        raise RuntimeError(
-            f"threshold ({threshold}) and exhaustive ({exhaustive}) deviation tests disagree"
+        skewed = verify_uniform_and_belief_invariant(game, advice).uniform_violations
+        cause = f": the advice marginal of (question, player) {skewed[0]} is not uniform" if skewed else ""
+        raise UnsupportedGameError(
+            f"threshold ({threshold}) and exhaustive ({exhaustive}) deviation tests disagree{cause}"
         )
     return threshold
 

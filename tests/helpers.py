@@ -1,8 +1,10 @@
 """Shared fixtures for the test suite."""
 
 import functools
+import io
 import itertools
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from collections import Counter
 from fractions import Fraction
 
@@ -24,7 +26,16 @@ from grapheq import (
     verify_uniform_and_belief_invariant,
 )
 from grapheq import gf2
-from grapheq.classical import LinearPayoff, ProfileEvaluation, SymmetryGroup, _deviation_gains, apply_local
+from grapheq.cli import main
+from grapheq.classical import (
+    LOCAL_FN_COUNT,
+    LinearPayoff,
+    PayoffTable,
+    ProfileEvaluation,
+    SymmetryGroup,
+    _deviation_gains,
+    apply_local,
+)
 
 
 def edgeless(n):
@@ -476,3 +487,37 @@ def _simplex_max(objective, eq_row, ge_rows, start_col):
         if b < nx:
             solution[b] = tableau[r][-1]
     return value, solution
+
+
+def obedience_violations(game, params, dist):
+    """Exact slack of every obedience constraint for a profile distribution."""
+    table = PayoffTable(game)
+    grid, scale = table.utility_grid(params)
+    n = game.n
+    bad = []
+    for j in range(n):
+        step = 4 ** (n - 1 - j)
+        for f in range(LOCAL_FN_COUNT):
+            for g in range(LOCAL_FN_COUNT):
+                if g == f:
+                    continue
+                slack = Fraction(0)
+                for code, weight in dist.items():
+                    if (code >> (2 * (n - 1 - j))) & 3 != f:
+                        continue
+                    dev = code + (g - f) * step
+                    slack += weight * Fraction(int(grid[code, j]) - int(grid[dev, j]), scale)
+                if slack < 0:
+                    bad.append((j, f, g, slack))
+    return bad
+
+
+def run_cli(*argv):
+    """``grapheq`` in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()

@@ -1,6 +1,7 @@
 """Penalty pruning, k-fold repetition, and the separation calculator."""
 
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -17,10 +18,12 @@ from grapheq import (
     GameSpec,
     Graph,
     GroupTable,
+    LinearProgramError,
     PayoffParams,
     ProductGameSpec,
     SizeLimitError,
     UnsupportedGameError,
+    best_correlated_sw,
     best_csw,
     builtin_game,
     enumerate_nash,
@@ -46,10 +49,12 @@ from grapheq.classical import PayoffTable, code_to_profile
 from helpers import (
     sum_win_util,
     cycle_game,
+    obedience_violations,
     oracle_kfold_csw,
     oracle_product_best_csw,
     oracle_product_nash_matrix,
     p_win,
+    run_cli,
     toy_two_player_game,
 )
 
@@ -111,8 +116,6 @@ def assert_welfares_match_evaluate(game, params, table):
     profiles = enumerate_nash(game, params, table=table)
     rescored = [evaluate(game, p).social_welfare(params) for p in profiles]
     assert penalty_report(game, params, table=table).social_welfares == tuple(rescored)
-    for p, sw in zip(profiles[:3], rescored):
-        assert table.social_welfare(profile_to_code(p, game.n), params) == sw
     if not profiles:
         with pytest.raises(EmptyEquilibriumSetError):
             best_csw(game, params, table=table)
@@ -156,6 +159,20 @@ def test_integer_welfare_exact_past_int64():
     assert max(sum(int(u) for u in grid[code]) for code in nash) >= 2**63
     for ng in (0, 4):
         assert_welfares_match_evaluate(game, PayoffParams(params.v0, 1, ng), table)
+    # the correlated LP's objective is the same row sum: certified or refused
+    for name in BUILTIN_NAMES:
+        game = builtin_game(name)
+        for e in range(55, 63):
+            params = PayoffParams(Fraction(1, 2**e), 1)
+            try:
+                value, dist = best_correlated_sw(game, params, return_distribution=True)
+            except LinearProgramError:
+                continue
+            assert value >= best_csw(game, params)[0]
+            assert obedience_violations(game, params, dist) == []
+    code, out, _ = run_cli("corr-lp", "--game", "NC00010_C5", "--v0", f"1/{2**57}", "--v1", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["bestCorrelatedSW"] == "8/13"
+    assert run_cli("corr-lp", "--game", "NC000_C5", "--v0", f"1/{2**58}", "--v1", "1")[:2] == (3, "")
 
 
 # ---------------------------------------------------------------------------

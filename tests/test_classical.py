@@ -29,7 +29,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from grapheq._reference import NC00_NASH_INTERVALS
-from grapheq.classical import PayoffTable, _player_axis, build_report, code_to_profile
+from grapheq.classical import PayoffTable, _player_axis, _welfare, build_report, code_to_profile
 from helpers import (
     edgeless,
     probability_of,
@@ -490,12 +490,11 @@ def test_int8_entries_at_the_limit_match_evaluate():
     assert all(c.dtype == np.int8 for c in coefficients)
     assert max(int(c.max()) for c in coefficients) == 126
     evals = profile_evaluations(game)
-    codes = np.arange(table.ncodes)
     for p in (params, PayoffParams(Fraction(5, 7), Fraction(3), Fraction(11, 2))):
         grid, den = table.utility_grid(p)
-        nums, wden = table.welfare_nums(codes, p)
-        for code in codes:
-            utils = evals[code_to_profile(int(code), game.n)].utilities(p)
+        nums = _welfare(grid)
+        for code in range(table.ncodes):
+            utils = evals[code_to_profile(code, game.n)].utilities(p)
             assert tuple(Fraction(int(u), den) for u in grid[code]) == utils
-            assert Fraction(int(nums[code]), wden) == sum(utils)
+            assert Fraction(int(nums[code]), den) == sum(utils)
         _assert_kernel_matches_oracles(game, table, p)

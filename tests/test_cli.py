@@ -1,24 +1,11 @@
 """CLI behavior: output formats, determinism, exit codes."""
 
-import io
 import json
 import time
-from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from grapheq import PayoffParams, builtin_game, game_to_document
-from grapheq.cli import main
-from helpers import cycle_game
-
-
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
+from helpers import cycle_game, run_cli
 
 
 def test_nash_csv_counts():

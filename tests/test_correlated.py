@@ -1,8 +1,6 @@
 """Obedient correlated advice: exact LP value and feasibility of the optimum."""
 
-import io
 import time
-from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import numpy as np
@@ -19,40 +17,33 @@ from grapheq import (
     builtin_game,
     qsw,
 )
-from grapheq import cli, correlated
+from grapheq import correlated
 from grapheq.classical import (
     LOCAL_FN_COUNT,
     PayoffTable,
+    _welfare,
+    code_to_profile,
     enumerate_nash,
+    evaluate,
     profile_to_code,
 )
 from grapheq.correlated import _certify, _exact_max, _float_basis, _obedience_matrix
-from helpers import _simplex_max, cycle_game, toy_two_player_game
+from helpers import (
+    _simplex_max,
+    cycle_game,
+    obedience_violations,
+    profile_evaluations,
+    run_cli,
+    toy_two_player_game,
+)
 
 PARAMS = PayoffParams(Fraction(2, 3), Fraction(1))
 
 
-def obedience_violations(game, params, dist):
-    """Exact slack of every obedience constraint for a profile distribution."""
-    table = PayoffTable(game)
-    grid, scale = table.utility_grid(params)
-    n = game.n
-    bad = []
-    for j in range(n):
-        step = 4 ** (n - 1 - j)
-        for f in range(LOCAL_FN_COUNT):
-            for g in range(LOCAL_FN_COUNT):
-                if g == f:
-                    continue
-                slack = Fraction(0)
-                for code, weight in dist.items():
-                    if (code >> (2 * (n - 1 - j))) & 3 != f:
-                        continue
-                    dev = code + (g - f) * step
-                    slack += weight * Fraction(int(grid[code, j]) - int(grid[dev, j]), scale)
-                if slack < 0:
-                    bad.append((j, f, g, slack))
-    return bad
+def scored_welfare(game, params, dist):
+    """Social welfare of a profile distribution, each profile rescored by
+    ``evaluate`` in Fractions."""
+    return sum(w * evaluate(game, code_to_profile(code, game.n)).social_welfare(params) for code, w in dist.items())
 
 
 def test_correlated_value_regression_nc00():
@@ -70,9 +61,7 @@ def test_correlated_optimum_is_obedient_and_scores_its_value():
     game = builtin_game("NC00_C5")
     value, dist = best_correlated_sw(game, PARAMS, return_distribution=True)
     assert obedience_violations(game, PARAMS, dist) == []
-    table = PayoffTable(game)
-    scored = sum(w * table.social_welfare(code, PARAMS) for code, w in dist.items())
-    assert scored == value
+    assert scored_welfare(game, PARAMS, dist) == value
 
 
 def test_correlated_bounds():
@@ -80,8 +69,7 @@ def test_correlated_bounds():
     value = best_correlated_sw(game, PARAMS)
     nash_value, _ = best_csw(game, PARAMS)
     assert value >= nash_value
-    table = PayoffTable(game)
-    peak = max(table.social_welfare(code, PARAMS) for code in range(table.ncodes))
+    peak = max(ev.social_welfare(PARAMS) for ev in profile_evaluations(game).values())
     assert value <= peak
 
 
@@ -160,7 +148,8 @@ def float_optimum(game, params):
 
     table = PayoffTable(game)
     rows = np.array(obedience_rows_reference(table, params), dtype=float)
-    sw = [float(table.social_welfare(code, params)) for code in range(table.ncodes)]
+    grid, scale = table.utility_grid(params)
+    sw = [float(Fraction(sum(map(int, row)), scale * game.n)) for row in grid]
     res = linprog(
         c=[-v for v in sw],
         A_ub=-rows,
@@ -179,7 +168,7 @@ def lp_data(game, params):
     table = PayoffTable(game)
     grid, scale = table.utility_grid(params)
     start = profile_to_code(enumerate_nash(game, params, table=table)[0], game.n)
-    return grid.sum(axis=1), _obedience_matrix(grid, game.n), start, scale * game.n
+    return _welfare(grid), _obedience_matrix(grid, game.n), start, scale * game.n
 
 
 def certified_value(game, params):
@@ -189,8 +178,7 @@ def certified_value(game, params):
     value, dist = best_correlated_sw(game, params, return_distribution=True)
     assert sum(dist.values()) == 1 and all(w > 0 for w in dist.values())
     assert obedience_violations(game, params, dist) == []
-    table = PayoffTable(game)
-    assert sum(w * table.social_welfare(code, params) for code, w in dist.items()) == value
+    assert scored_welfare(game, params, dist) == value
     if game.n <= 6:
         assert abs(float(value) - float_optimum(game, params)) < 1e-9
     return value
@@ -283,7 +271,7 @@ def test_certified_optimum_matches_exact_tableau_on_c4():
     assert _certify(objective, rows, [start] + [nx + i for i in range(m)]) is None
     table = PayoffTable(game)
     ref_value, _ = _simplex_max(
-        [table.social_welfare(code, params) for code in range(table.ncodes)],
+        [ev.social_welfare(params) for ev in profile_evaluations(game).values()],
         [Fraction(1)] * table.ncodes,
         [[Fraction(v) for v in row] for row in obedience_rows_reference(table, params)],
         start,
@@ -307,11 +295,9 @@ def test_failed_certificate_raises_typed_error(monkeypatch, float_result):
     with pytest.raises(LinearProgramError):
         best_correlated_sw(game, params)
     assert time.perf_counter() - began < 1
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(["corr-lp", "--game", "NC00_C5", "--v0", "1/6", "--v1", "1"])
-    assert (code, out.getvalue()) == (3, "")
-    assert err.getvalue().startswith("error:")
+    code, out, err = run_cli("corr-lp", "--game", "NC00_C5", "--v0", "1/6", "--v1", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
 
 
 def test_simplex_raises_typed_errors():
@@ -325,6 +311,6 @@ def test_simplex_raises_typed_errors():
 
 
 def test_missing_nash_start_is_a_typed_error(monkeypatch):
-    monkeypatch.setattr(correlated, "enumerate_nash", lambda *args, **kwargs: [])
+    monkeypatch.setattr(correlated, "_nash_mask", lambda grid, n: np.zeros(grid.shape[0], dtype=bool))
     with pytest.raises(EmptyEquilibriumSetError):
         best_correlated_sw(builtin_game("NC00_C5"), PARAMS)

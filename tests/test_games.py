@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -25,8 +26,9 @@ from grapheq import (
     game_from_document,
     game_to_document,
     p_involved,
+    parse_rational,
 )
-from helpers import cycle_game, edgeless
+from helpers import cycle_game, edgeless, run_cli
 
 PARAMS = PayoffParams(Fraction(2, 3), Fraction(1))
 
@@ -222,6 +224,33 @@ def test_malformed_rational_error():
     doc["questions"][0]["w"] = "one/six"
     with pytest.raises(MalformedDocumentError):
         game_from_document(doc)
+
+
+def test_decimal_exponent_is_capped():
+    # a 13-byte literal must not expand to a billion digits; 1e-300 stays exact
+    assert parse_rational("1e-300") == Fraction(1, 10**300)
+    assert parse_rational("-2.5E+3") == -2500
+    for text in ("1e-1000000000", "1e4301", "1e" + "9" * 5000):
+        with pytest.raises(MalformedDocumentError):
+            parse_rational(text)
+
+
+@pytest.mark.parametrize("where", ["v0", "weight"])
+def test_huge_exponent_exits_3_at_once(tmp_path, where):
+    doc = game_to_document(builtin_game("NC00_C5"), PARAMS)
+    args = ["csw", "--game"]
+    if where == "weight":
+        doc["questions"][0]["w"] = "1e-1000000000"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        args += [str(path)]
+    else:
+        args += ["NC00_C5", "--v0", "1e-1000000000"]
+    began = time.perf_counter()
+    code, out, err = run_cli(*args)
+    assert time.perf_counter() - began < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: bad rational literal")
 
 
 def test_type_length_error():

@@ -1,7 +1,9 @@
 """The runtime needs numpy alone: no analysis path pulls in heavier modules,
 and numpy's BLAS runs one thread unless the caller asks for more."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,3 +107,22 @@ def test_no_analysis_path_wakes_a_blas_worker():
     workers, gained = map(int, run_probe(BLAS_IDLE, OPENBLAS_NUM_THREADS="2").split())
     assert workers == 1
     assert gained == 0
+
+
+INT64_LIMIT = re.compile(r"2\s*\*\*\s*62|1\s*<<\s*62|4611686018427387904")
+
+
+def test_int64_limit_is_spelled_only_in_exact_dtype():
+    """Every int64-or-Python-integers decision goes through
+    ``classical._exact_dtype``: no other line of the package names the limit."""
+    stray = []
+    for path in sorted(SRC.joinpath("grapheq").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        allowed = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and node.name == "_exact_dtype":
+                allowed.update(range(node.lineno, node.end_lineno + 1))
+        for number, line in enumerate(text.splitlines(), start=1):
+            if INT64_LIMIT.search(line) and number not in allowed:
+                stray.append(f"{path.name}:{number}: {line.strip()}")
+    assert stray == []

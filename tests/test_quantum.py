@@ -1,9 +1,10 @@
 """Advice correlation guarantees and the quantum equilibrium decision."""
 
+import json
 from fractions import Fraction
 
 import pytest
-from helpers import cycle_game, edgeless, oracle_deviation_payoff_coefficients, p_involved_given_advice
+from helpers import cycle_game, edgeless, oracle_deviation_payoff_coefficients, p_involved_given_advice, run_cli
 
 from grapheq import (
     DEVIATION_POLICIES,
@@ -17,6 +18,7 @@ from grapheq import (
     derive_question,
     deviation_payoff_coefficients,
     deviation_table,
+    game_from_document,
     is_quantum_nash,
     outcome_law,
     quantum_player_utilities,
@@ -122,6 +124,33 @@ def test_is_quantum_nash_examples():
     assert is_quantum_nash(nc01, PayoffParams(Fraction(1, 3), Fraction(1)))
     with pytest.raises(ValueError):
         is_quantum_nash(nc00, PayoffParams(Fraction(1, 2), Fraction(1), Fraction(1)))
+
+
+# vertex 0 is isolated, so its X-measured advice bit is always 0: the
+# involvement threshold, which assumes uniform advice, misjudges the game
+ISOLATED_VERTEX_DOC = {
+    "name": "iso3",
+    "n": 3,
+    "edges": [[1, 2]],
+    "questions": [
+        {"id": "q0", "t": "110", "K": [0], "w": "1/4"},
+        {"id": "q1", "t": "110", "K": [0, 1], "w": "1/4"},
+        {"id": "q2", "t": "101", "K": [2], "w": "1/4"},
+        {"id": "q3", "t": "010", "K": [1], "w": "1/4"},
+    ],
+}
+
+
+def test_decider_disagreement_is_a_typed_error(tmp_path):
+    game, _ = game_from_document(ISOLATED_VERTEX_DOC)
+    assert verify_uniform_and_belief_invariant(game).uniform_violations[0] == ("q0", 0)
+    with pytest.raises(UnsupportedGameError, match=r"\('q0', 0\) is not uniform"):
+        is_quantum_nash(game, PayoffParams(Fraction(1, 2), Fraction(1)))
+    path = tmp_path / "iso3.json"
+    path.write_text(json.dumps(ISOLATED_VERTEX_DOC), encoding="utf-8")
+    code, out, err = run_cli("quantum", "--game", str(path), "--v0", "1/2", "--v1", "1")
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: threshold")
 
 
 def test_methods_agree_on_grid():
