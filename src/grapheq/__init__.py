@@ -93,7 +93,6 @@ from .games import (
     parse_rational,
 )
 from .quantum import (
-    AdviceCorrelation,
     DEVIATION_POLICIES,
     DeviationTable,
     advice_correlation,

@@ -398,7 +398,7 @@ def check_win_oracle() -> CheckResult:
         answer_lut = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=np.uint8)
         digits = [((codes >> (2 * (n - 1 - j))) & 3) for j in range(n)]
         for qi, q in enumerate(game.questions):
-            law = advice.law(q.qid)
+            law = advice[q.qid]
             answers = np.stack(
                 [answer_lut[digits[j], q.type_bits[j]] for j in range(n)], axis=1
             )
@@ -410,7 +410,7 @@ def check_win_oracle() -> CheckResult:
             if np.any(member & ~win):
                 problems.append(f"{name} {q.qid}: support leaks outside the winning set")
         if name == "NC00_C5" and any(
-            advice.law(q.qid).rank != 1 for q in game.questions
+            advice[q.qid].rank != 1 for q in game.questions
         ):
             problems.append("NC00_C5: expected rank-1 laws")
     elapsed = time.perf_counter() - started

@@ -37,7 +37,7 @@ from .games import (
 )
 from .quantum import (
     advice_correlation,
-    is_quantum_nash,
+    deviation_table,
     quantum_threshold,
     qsw,
     verify_perfect_win,
@@ -293,11 +293,11 @@ def _cmd_quantum(args) -> int:
         "uniformAdvice": not inv.uniform_violations,
         "beliefInvariant": inv.ok,
         "qsw": _fr(qsw(params)),
-        "isNash": is_quantum_nash(game, PayoffParams(params.v0, params.v1)),
+        "isNash": deviation_table(game, advice).advice_is_nash(params.v0, params.v1),
         "questions": [],
     }
     for q in game.questions:
-        law = advice.law(q.qid)
+        law = advice[q.qid]
         marginals = {}
         for j in range(game.n):
             marg = law.marginal([j])

@@ -122,6 +122,8 @@ class GameSpec:
             raise WeightSumError(f"weights sum to {total}, expected 1")
 
     def _check_generator(self, q: QuestionSpec) -> None:
+        if not q.generator_set <= frozenset(range(self.n)):
+            raise MalformedDocumentError(f"{q.qid}: generator set outside vertices")
         der = derive_question(self.graph, q.generator_set)
         if not der.valid:
             raise InvalidGeneratorError(f"{q.qid}: K={sorted(q.generator_set)} has odd internal degree")
@@ -254,9 +256,9 @@ def _vertex_set(entries, n: int) -> frozenset[int]:
 def game_from_document(doc: dict) -> tuple[GameSpec, PayoffParams]:
     """Parse and validate a game document; inverse of ``game_to_document``.
 
-    Questions with a K field have involved/parity recomputed and compared;
-    questions without K must state both explicitly.  Every structural fault
-    is a ``MalformedDocumentError``.
+    Questions with a K field take a missing involved set or parity from K,
+    and a stated one must agree with it; questions without K must state
+    both explicitly.  Every structural fault is a ``MalformedDocumentError``.
     """
     try:
         n = int(doc["n"])
@@ -289,15 +291,14 @@ def game_from_document(doc: dict) -> tuple[GameSpec, PayoffParams]:
         # before any derivation, whose cost grows with n
         if len(tbits) != n:
             raise MalformedDocumentError(f"{qid}: type vector length != {n}")
-        if gen is not None:
+        # a stated I and b are checked against K by GameSpec
+        if involved is None or parity is None:
+            if gen is None:
+                raise MalformedDocumentError(f"{qid}: questions without K need explicit I and b")
             der = derive_question(graph, gen)
             if not der.valid:
                 raise InvalidGeneratorError(f"{qid}: K={sorted(gen)} has odd internal degree")
             involved = der.involved if involved is None else involved
             parity = der.parity if parity is None else parity
-            if involved != der.involved or parity != der.parity:
-                raise QuestionMismatchError(f"{qid}: stated involved/parity disagree with K")
-        elif involved is None or parity is None:
-            raise MalformedDocumentError(f"{qid}: questions without K need explicit I and b")
         questions.append(QuestionSpec(qid, tbits, involved, parity, weight, gen))
     return GameSpec(name, graph, tuple(questions)), params

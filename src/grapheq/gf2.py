@@ -25,18 +25,6 @@ def unpack(row: int, width: int) -> tuple[int, ...]:
     return tuple((row >> j) & 1 for j in range(width))
 
 
-def pack_rows(rows, width: int) -> list[int]:
-    """Pack a (m, width) 0/1 matrix, or a single row, into m integers."""
-    mat = np.asarray(rows, dtype=np.int64)
-    if mat.size == 0:
-        return []
-    if mat.ndim == 1:
-        mat = mat.reshape(1, -1)
-    if mat.ndim != 2 or mat.shape[1] != width:
-        raise ValueError(f"expected width {width}, got shape {mat.shape}")
-    return [pack(r) for r in mat.tolist()]
-
-
 def to_matrix(rows, width: int) -> np.ndarray:
     """The (len(rows), width) uint8 matrix of packed rows."""
     return np.array([unpack(r, width) for r in rows], dtype=np.uint8).reshape(len(rows), width)

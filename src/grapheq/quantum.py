@@ -4,9 +4,11 @@ Each player measures their graph-state qubit in X (type 1) or Z (type 0);
 the joint answer law per question comes from the stabilizer algebra.  This
 module certifies the win-with-probability-1 property, uniform marginals and
 restricted belief invariance, and decides when following the advice is a
-Nash equilibrium twice, via the involvement threshold and via an exhaustive
-scan over local post-processing deviations; ``is_quantum_nash`` requires
-the two answers to agree.
+Nash equilibrium by an exhaustive scan over local post-processing
+deviations.  The involvement threshold v0/v1 >= 1 - p of
+``quantum_threshold`` is that scan's closed form only for uniform,
+belief-invariant advice; it is reported, and checked against the scan, but
+decides nothing.
 
 The exhaustive scan runs on one deviation table per game: for every player
 and question, the exact law of (own advice bit, parity of the other involved
@@ -34,42 +36,31 @@ def bases_for_types(type_bits) -> tuple[str, ...]:
     return tuple("X" if b else "Z" for b in type_bits)
 
 
-@dataclass(frozen=True, eq=False)
-class AdviceCorrelation:
-    """Per-question exact answer laws of the graph-state measurement."""
-
-    game: GameSpec
-    laws: dict[str, OutcomeLaw]
-
-    def law(self, qid: str) -> OutcomeLaw:
-        return self.laws[qid]
+Advice = dict[str, OutcomeLaw]
 
 
-def advice_correlation(game: GameSpec) -> AdviceCorrelation:
+def advice_correlation(game: GameSpec) -> Advice:
+    """The exact answer law of the graph-state measurement, per question id."""
     if not game.stabilizer_backed():
         missing = [q.qid for q in game.questions if q.generator_set is None]
         raise UnsupportedGameError(f"questions without generator sets: {missing}")
-    laws = {q.qid: outcome_law(game.graph, bases_for_types(q.type_bits)) for q in game.questions}
-    return AdviceCorrelation(game, laws)
+    return {q.qid: outcome_law(game.graph, bases_for_types(q.type_bits)) for q in game.questions}
 
 
 @dataclass(frozen=True)
 class PerfectWinReport:
     win_probability: dict[str, Fraction]
     all_perfect: bool
-    # with a certain win, every player receives exactly v_{answer}
-    payoff_certain: bool
 
 
-def verify_perfect_win(game: GameSpec, advice: AdviceCorrelation | None = None) -> PerfectWinReport:
+def verify_perfect_win(game: GameSpec, advice: Advice | None = None) -> PerfectWinReport:
     """Check that the advice wins every question with probability exactly 1."""
     advice = advice or advice_correlation(game)
     probs = {}
     for q in game.questions:
-        dist = advice.law(q.qid).parity_distribution(q.involved)
+        dist = advice[q.qid].parity_distribution(q.involved)
         probs[q.qid] = dist.get(q.parity, Fraction(0))
-    perfect = all(p == 1 for p in probs.values())
-    return PerfectWinReport(probs, perfect, perfect)
+    return PerfectWinReport(probs, all(p == 1 for p in probs.values()))
 
 
 @dataclass(frozen=True)
@@ -83,7 +74,7 @@ class BeliefInvarianceReport:
 
 
 def verify_uniform_and_belief_invariant(
-    game: GameSpec, advice: AdviceCorrelation | None = None
+    game: GameSpec, advice: Advice | None = None
 ) -> BeliefInvarianceReport:
     """Uniform single-player advice marginals, identical across equal own types.
 
@@ -94,7 +85,7 @@ def verify_uniform_and_belief_invariant(
     uniform_bad = []
     marginals: dict[tuple[int, str], dict] = {}
     for q in game.questions:
-        law = advice.law(q.qid)
+        law = advice[q.qid]
         for j in range(game.n):
             marg = law.marginal([j])
             marginals[(j, q.qid)] = marg
@@ -113,17 +104,16 @@ def verify_uniform_and_belief_invariant(
 class QuantumThreshold:
     p: Fraction
     bound: Fraction  # 1 - p
-    condition: str
-
-    def holds_at(self, params: PayoffParams) -> bool:
-        return params.ratio >= self.bound
 
 
 def quantum_threshold(game: GameSpec) -> QuantumThreshold:
     """Smallest involvement probability and the ratio bound it induces.
 
-    Following the advice is an equilibrium iff v0/v1 >= 1 - p, where p is
-    the worst-case probability of being involved over players and types.
+    p is the worst-case probability of being involved over players and
+    types.  When every advice marginal is uniform and belief-invariant,
+    following the advice is an equilibrium iff v0/v1 >= 1 - p: the closed
+    form of the deviation scan, which ``quantum`` prints.  Otherwise the
+    bound decides nothing; ``is_quantum_nash`` does.
     """
     p = min(
         p_involved(game, j, t)
@@ -131,8 +121,7 @@ def quantum_threshold(game: GameSpec) -> QuantumThreshold:
         for t in (0, 1)
         if any(q.type_bits[j] == t for q in game.questions)
     )
-    bound = 1 - p
-    return QuantumThreshold(p, bound, f"v0/v1 >= {bound}")
+    return QuantumThreshold(p, 1 - p)
 
 
 # all maps (own type bit, advice bit) -> answer bit
@@ -150,7 +139,7 @@ def _policy_index(policy) -> int:
 
 
 def _deviation_row(
-    game: GameSpec, advice: AdviceCorrelation, player: int, weight_scale: int
+    game: GameSpec, advice: Advice, player: int, weight_scale: int
 ) -> tuple[tuple[int, int], ...]:
     """(c0, c1) of every policy for one deviator, times 4 * ``weight_scale``.
 
@@ -167,7 +156,7 @@ def _deviation_row(
         t = q.type_bits[player]
         own = player in q.involved
         rest_mask = sum(1 << r for r in q.involved) & ~own_mask
-        offset, span = advice.law(q.qid).image_coset((own_mask, rest_mask))
+        offset, span = advice[q.qid].image_coset((own_mask, rest_mask))
         mass = q.weight.numerator * (weight_scale // q.weight.denominator) * (4 >> len(span))
         for point in gf2.coset(offset, span):
             advice_bit, rest_parity = point & 1, point >> 1
@@ -201,10 +190,6 @@ class DeviationTable:
     scale: int
     rows: tuple[tuple[tuple[int, int], ...], ...]
 
-    def coefficients(self, player: int, policy) -> tuple[Fraction, Fraction]:
-        c0, c1 = self.rows[player][_policy_index(policy)]
-        return Fraction(c0, self.scale), Fraction(c1, self.scale)
-
     def advice_is_nash(self, v0, v1) -> bool:
         """No policy of any player beats following the advice, (v0+v1)/2.
 
@@ -218,7 +203,7 @@ class DeviationTable:
         return all(2 * (c0 * a0 + c1 * a1) <= bar for row in self.rows for c0, c1 in row)
 
 
-def deviation_table(game: GameSpec, advice: AdviceCorrelation | None = None) -> DeviationTable:
+def deviation_table(game: GameSpec, advice: Advice | None = None) -> DeviationTable:
     """The deviation table of ``game``: n * questions law queries in all."""
     advice = advice or advice_correlation(game)
     weight_scale = _weight_scale(game)
@@ -227,7 +212,7 @@ def deviation_table(game: GameSpec, advice: AdviceCorrelation | None = None) -> 
 
 
 def deviation_payoff_coefficients(
-    game: GameSpec, advice: AdviceCorrelation, player: int, policy
+    game: GameSpec, advice: Advice, player: int, policy
 ) -> tuple[Fraction, Fraction]:
     """Expected utility (c0, c1) with u = c0*v0 + c1*v1 for one deviator.
 
@@ -245,24 +230,15 @@ def deviation_payoff_coefficients(
 def is_quantum_nash(game: GameSpec, params: PayoffParams) -> bool:
     """Is following the advice a Nash equilibrium at these payoffs?
 
-    Decided twice, by the involvement bound of ``quantum_threshold`` and by
-    scanning all 16 post-processing policies of every player against the
-    equilibrium utility (v0+v1)/2 in integers over the deviation table.  The
-    threshold assumes uniform advice marginals; when the two disagree, an
-    ``UnsupportedGameError`` names a non-uniform (question, player) pair.
+    No policy of any player may beat the equilibrium utility (v0+v1)/2:
+    all 16 post-processing policies are scanned in integers over the
+    deviation table.  This decides every stabilizer-backed game; the bound
+    of ``quantum_threshold`` is its closed form only when the advice is
+    uniform and belief-invariant.
     """
     if params.penalty != 0:
         raise ValueError("equilibrium test applies to the base game (penalty 0)")
-    threshold = quantum_threshold(game).holds_at(params)
-    advice = advice_correlation(game)
-    exhaustive = deviation_table(game, advice).advice_is_nash(params.v0, params.v1)
-    if threshold != exhaustive:
-        skewed = verify_uniform_and_belief_invariant(game, advice).uniform_violations
-        cause = f": the advice marginal of (question, player) {skewed[0]} is not uniform" if skewed else ""
-        raise UnsupportedGameError(
-            f"threshold ({threshold}) and exhaustive ({exhaustive}) deviation tests disagree{cause}"
-        )
-    return threshold
+    return deviation_table(game).advice_is_nash(params.v0, params.v1)
 
 
 def qsw(params: PayoffParams) -> Fraction:
@@ -279,7 +255,7 @@ def quantum_player_utilities(game: GameSpec, params: PayoffParams) -> tuple[Frac
     advice = advice_correlation(game)
     totals = [Fraction(0)] * game.n
     for q in game.questions:
-        law = advice.law(q.qid)
+        law = advice[q.qid]
         win = law.parity_distribution(q.involved).get(q.parity, Fraction(0))
         if win != 1:
             raise UnsupportedGameError(f"question {q.qid} is not won with certainty")

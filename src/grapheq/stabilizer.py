@@ -4,8 +4,10 @@ Products of stabilizer generators, derivation of valid parity questions, and
 the exact joint law of single-qubit X/Z measurements on a graph state.  All
 probabilities are rationals; nothing in this module touches floating point.
 
-Outcome laws are built from neighbourhood bitmasks and factored once, when
-they are constructed: each law keeps one point of its support and a
+Every generator product (a Pauli word, a question derivation, a constraint
+of an outcome law) is one fold of neighbourhood bitmasks, ``_word``.
+Outcome laws are built from those bitmasks and factored once, when they are
+constructed: each law keeps one point of its support and a
 null-space basis as Python-int bitmasks (``gf2``), so a marginal, parity or
 image query is a handful of ANDs and XORs on that coset.
 """
@@ -51,9 +53,6 @@ class Graph:
     def cycle(cls, n: int) -> "Graph":
         return cls.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(b if a == v else a for a, b in self.edges if v in (a, b))
-
     def neighbor_masks(self) -> tuple[int, ...]:
         """Bit u of entry v is set when u and v are adjacent."""
         masks = [0] * self.n
@@ -61,10 +60,6 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return tuple(masks)
-
-    def internal_edge_count(self, subset) -> int:
-        s = set(subset)
-        return sum(1 for u, v in self.edges if u in s and v in s)
 
     def disjoint_union(self, other: "Graph") -> "Graph":
         shifted = ((u + self.n, v + self.n) for u, v in other.edges)
@@ -114,64 +109,68 @@ class QuestionDerivation:
     required_basis: tuple[str | None, ...] | None = None
 
 
+def _word(nbr, k: int) -> tuple[int, int]:
+    """The product of the generators in the vertex bitmask ``k``, given the
+    neighbour masks ``nbr``: (z, sign).
+
+    Bit j of z is |N(j) & K| mod 2, the Z factor on qubit j (the X factors
+    are k itself); sign is the number of edges inside K, mod 2.
+    """
+    z = 0
+    inside = 0
+    for j in range(k.bit_length()):
+        if (k >> j) & 1:
+            z ^= nbr[j]
+            inside += (nbr[j] & k).bit_count()
+    return z, (inside // 2) & 1
+
+
+def _vertex_mask(subset) -> int:
+    return sum(1 << j for j in set(subset))
+
+
 def stabilizer_word(graph: Graph, subset) -> PauliWord:
     """Product of the graph-state stabilizer generators indexed by ``subset``.
 
     Qubit j carries X^[j in K] * Z^(|N(j) & K| mod 2); the sign exponent is
     the number of edges inside K, mod 2.
     """
-    k = set(subset)
-    letters = []
-    for j in range(graph.n):
-        x = j in k
-        z = len(graph.neighbors(j) & k) % 2 == 1
-        letters.append("Y" if x and z else "X" if x else "Z" if z else "I")
-    return PauliWord(tuple(letters), graph.internal_edge_count(k) % 2)
+    k = _vertex_mask(subset)
+    z, sign = _word(graph.neighbor_masks(), k)
+    letters = tuple("IXZY"[((k >> j) & 1) | ((z >> j) & 1) << 1] for j in range(graph.n))
+    return PauliWord(letters, sign)
 
 
 def derive_question(graph: Graph, subset) -> QuestionDerivation:
-    """Derive the question data (involved set, parity, bases) for K."""
-    k = frozenset(subset)
-    for j in k:
-        if len(graph.neighbors(j) & k) % 2 == 1:
-            return QuestionDerivation(k, False)
-    word = stabilizer_word(graph, k)
-    involved = frozenset(word.support)
-    bases: list[str | None] = [None] * graph.n
-    for j in k:
-        bases[j] = "X"
-    for j in involved - k:
-        bases[j] = "Z"
-    return QuestionDerivation(k, True, involved, word.sign_exponent, tuple(bases))
+    """Derive the question data (involved set, parity, bases) for K.
+
+    K is valid exactly when its word has no Y, i.e. no Z factor on K.
+    """
+    gens = frozenset(subset)
+    k = _vertex_mask(gens)
+    z, sign = _word(graph.neighbor_masks(), k)
+    if z & k:
+        return QuestionDerivation(gens, False)
+    involved = frozenset(j for j in range(graph.n) if ((k | z) >> j) & 1)
+    bases = tuple("X" if (k >> j) & 1 else "Z" if (z >> j) & 1 else None for j in range(graph.n))
+    return QuestionDerivation(gens, True, involved, sign, bases)
 
 
 class OutcomeLaw:
     """Uniform distribution over the affine solution set of M a = c over GF(2).
 
     This is the exact joint law of the answers produced by measuring each
-    qubit of a graph state in its assigned X or Z basis.  The constraints
-    are reduced and the support factored once, at construction: one point
-    plus a null-space basis, as bitmasks (bit j is player j's answer), which
+    qubit of a graph state in its assigned X or Z basis.  Row i of M is the
+    bitmask ``rows[i]`` (bit j is player j's answer) and c_i is ``rhs[i]``.
+    The constraints are reduced and the support factored once, at
+    construction: one point plus a null-space basis, as bitmasks, which
     every query reuses.  The read-only properties ``matrix`` and ``rhs``
     give the reduced constraints as uint8 arrays.
     """
 
-    def __init__(self, n: int, matrix, rhs):
-        rows = gf2.pack_rows(matrix, n)
-        bits = np.asarray(rhs, dtype=np.int64).reshape(-1).tolist()
+    def __init__(self, n: int, rows, rhs):
         self.n = n
-        self._set_reduced(rows, bits)
-
-    @classmethod
-    def from_masks(cls, n: int, rows: list[int], rhs: list[int]) -> "OutcomeLaw":
-        """The law of constraints given as bitmask rows with their parities."""
-        law = cls.__new__(cls)
-        law.n = n
-        law._set_reduced(rows, rhs)
-        return law
-
-    def _set_reduced(self, rows: list[int], rhs: list[int]) -> None:
-        reduced = gf2.reduce_augmented(rows, rhs, self.n)
+        reduced = gf2.reduce_augmented(rows, rhs, n)
         if reduced is None:
             raise InconsistentLawError("parity constraints are inconsistent")
         self._rows, self._bits = reduced
@@ -272,16 +271,11 @@ def outcome_law(graph: Graph, bases) -> OutcomeLaw:
     rows = []
     rhs = []
     for k in gf2.nullspace(conditions, graph.n):
-        members = [j for j in range(graph.n) if (k >> j) & 1]
-        # Z factors: bit j is |N(j) & K| mod 2; the sign counts edges inside K
-        z = 0
-        inside = 0
-        for j in members:
-            z ^= nbr[j]
-            inside += (nbr[j] & k).bit_count()
+        z, sign = _word(nbr, k)
         # compatible subsets never produce a Y, and letters line up with bases
         if k & z or k & ~x_basis or z & x_basis:
+            members = [j for j in range(graph.n) if (k >> j) & 1]
             raise InconsistentLawError(f"the word of K={members} clashes with the bases")
         rows.append(k | z)
-        rhs.append((inside // 2) & 1)
-    return OutcomeLaw.from_masks(graph.n, rows, rhs)
+        rhs.append(sign)
+    return OutcomeLaw(graph.n, rows, rhs)

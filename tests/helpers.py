@@ -43,6 +43,11 @@ def edgeless(n):
     return Graph(n, frozenset())
 
 
+def oracle_neighbors(graph, v):
+    """The neighbours of ``v``, by a scan of the edge list."""
+    return {b if a == v else a for a, b in graph.edges if v in (a, b)}
+
+
 def toy_two_player_game(w0=Fraction(1, 2), w1=Fraction(1, 2), name="toy"):
     """Two players on an edgeless pair; each question pins one player's
     type-1 answer to 0.  Equilibria are derivable by inspection."""
@@ -289,7 +294,7 @@ def oracle_deviation_payoff_coefficients(game, advice, player, policy):
     c0 = Fraction(0)
     c1 = Fraction(0)
     for q in game.questions:
-        law = advice.law(q.qid)
+        law = advice[q.qid]
         t = q.type_bits[player]
         rest = q.involved - {player}
         rows = np.zeros((2, game.n), dtype=np.uint8)
@@ -385,7 +390,7 @@ def linear_image_distribution(law, functional_rows):
     ``functional_rows`` is an (m, n) 0/1 matrix; the result is uniform over
     the coset that ``law.image_coset`` returns, enumerated exactly.
     """
-    masks = gf2.pack_rows(functional_rows, law.n)
+    masks = [gf2.pack(row) for row in np.asarray(functional_rows).tolist()]
     offset, span = law.image_coset(masks)
     prob = Fraction(1, 2 ** len(span))
     return {gf2.unpack(point, len(masks)): prob for point in gf2.coset(offset, span)}

@@ -332,7 +332,7 @@ def test_win_bits_match_law_support_for_single_constraint_games():
     advice = advice_correlation(game)
     table = PayoffTable(game)
     for qi, q in enumerate(game.questions):
-        law = advice.law(q.qid)
+        law = advice[q.qid]
         assert law.rank == 1
         for code in range(0, 1024, 7):
             profile = code_to_profile(code, 5)

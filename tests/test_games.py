@@ -281,6 +281,13 @@ def test_duplicate_question_id_rejected():
         game_from_document(doc)
 
 
+def test_generator_set_outside_vertices_rejected():
+    game = builtin_game("NC00_C5")
+    moved = (replace(game.questions[0], generator_set=frozenset({0, 7})),) + game.questions[1:]
+    with pytest.raises(MalformedDocumentError, match="generator set outside vertices"):
+        GameSpec("far", game.graph, moved)
+
+
 def drop_involved_and_parity(entry):
     del entry["I"], entry["b"]
 

@@ -126,3 +126,24 @@ def test_int64_limit_is_spelled_only_in_exact_dtype():
             if INT64_LIMIT.search(line) and number not in allowed:
                 stray.append(f"{path.name}:{number}: {line.strip()}")
     assert stray == []
+
+
+DELETED_DUPLICATES = re.compile(r"def (neighbors|internal_edge_count|from_masks|pack_rows)\b")
+
+
+def test_neighbour_masks_are_folded_only_in_word():
+    """Every generator product goes through ``stabilizer._word``: no other
+    line of the package folds neighbour masks, and the set-based and
+    matrix-packing duplicates it replaced stay deleted."""
+    stray = []
+    for path in sorted(SRC.joinpath("grapheq").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        allowed = set()
+        if path.name == "stabilizer.py":
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.FunctionDef) and node.name == "_word":
+                    allowed.update(range(node.lineno, node.end_lineno + 1))
+        for number, line in enumerate(text.splitlines(), start=1):
+            if ("^= nbr[" in line and number not in allowed) or DELETED_DUPLICATES.search(line):
+                stray.append(f"{path.name}:{number}: {line.strip()}")
+    assert stray == []

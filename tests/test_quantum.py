@@ -1,10 +1,12 @@
 """Advice correlation guarantees and the quantum equilibrium decision."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 from helpers import cycle_game, edgeless, oracle_deviation_payoff_coefficients, p_involved_given_advice, run_cli
+from hypothesis import given, settings, strategies as st
 
 from grapheq import (
     DEVIATION_POLICIES,
@@ -35,15 +37,15 @@ PARAMS = PayoffParams(Fraction(2, 3), Fraction(1))
 def test_advice_law_examples():
     nc00 = builtin_game("NC00_C5")
     advice = advice_correlation(nc00)
-    law = advice.law("Ta")
+    law = advice["Ta"]
     assert law.rank == 1
     assert law.parity_distribution(range(5)) == {1: Fraction(1)}
-    law = advice.law("T0")
+    law = advice["T0"]
     assert law.parity_distribution([0, 1, 4]) == {0: Fraction(1)}
 
     nc01 = builtin_game("NC01_C5")
     advice01 = advice_correlation(nc01)
-    law = advice01.law("T0")
+    law = advice01["T0"]
     # the involved-set constraint holds surely, a second generator adds one
     # more, and the uninvolved player's advice stays uniform
     assert law.parity_distribution([4, 0, 1]) == {0: Fraction(1)}
@@ -62,7 +64,7 @@ def test_advice_requires_generator_sets():
 def test_perfect_win_all_builtins():
     for name in BUILTINS:
         report = verify_perfect_win(builtin_game(name))
-        assert report.all_perfect and report.payoff_certain
+        assert report.all_perfect
         assert all(p == 1 for p in report.win_probability.values())
 
 
@@ -112,7 +114,6 @@ def test_threshold_values():
     assert quantum_threshold(builtin_game("NC00010_C5")).p == Fraction(8, 13)
     thr = quantum_threshold(builtin_game("NC01_C5"))
     assert thr.bound == Fraction(1, 3)
-    assert thr.condition == "v0/v1 >= 1/3"
 
 
 def test_is_quantum_nash_examples():
@@ -127,7 +128,7 @@ def test_is_quantum_nash_examples():
 
 
 # vertex 0 is isolated, so its X-measured advice bit is always 0: the
-# involvement threshold, which assumes uniform advice, misjudges the game
+# advice is not uniform, and the involvement bound does not decide the game
 ISOLATED_VERTEX_DOC = {
     "name": "iso3",
     "n": 3,
@@ -141,16 +142,76 @@ ISOLATED_VERTEX_DOC = {
 }
 
 
-def test_decider_disagreement_is_a_typed_error(tmp_path):
+def oracle_is_quantum_nash(game, params):
+    """No player gains by any of the 16 policies, in Fractions."""
+    advice = advice_correlation(game)
+    return all(
+        c0 * params.v0 + c1 * params.v1 <= qsw(params)
+        for player in range(game.n)
+        for c0, c1 in (
+            oracle_deviation_payoff_coefficients(game, advice, player, policy) for policy in DEVIATION_POLICIES
+        )
+    )
+
+
+def test_quantum_decides_non_uniform_advice_by_the_scan(tmp_path):
     game, _ = game_from_document(ISOLATED_VERTEX_DOC)
     assert verify_uniform_and_belief_invariant(game).uniform_violations[0] == ("q0", 0)
-    with pytest.raises(UnsupportedGameError, match=r"\('q0', 0\) is not uniform"):
-        is_quantum_nash(game, PayoffParams(Fraction(1, 2), Fraction(1)))
     path = tmp_path / "iso3.json"
     path.write_text(json.dumps(ISOLATED_VERTEX_DOC), encoding="utf-8")
-    code, out, err = run_cli("quantum", "--game", str(path), "--v0", "1/2", "--v1", "1")
-    assert (code, out) == (3, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: threshold")
+    for v0, want in (("1/4", False), ("1/3", True), ("1/2", True)):
+        assert oracle_is_quantum_nash(game, PayoffParams(Fraction(v0), Fraction(1))) == want
+        code, out, err = run_cli("quantum", "--game", str(path), "--v0", v0, "--v1", "1")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["uniformAdvice"], doc["bound"], doc["isNash"]) == (False, "v0/v1 >= 1", want), v0
+
+
+def test_is_quantum_nash_matches_bound_on_uniform_corpus():
+    # every builtin and cycle has uniform, belief-invariant advice, where
+    # the bound is the closed form of the scan
+    games = [builtin_game(name) for name in BUILTINS] + [cycle_game(n) for n in range(3, 9)]
+    for game in games:
+        bound = quantum_threshold(game).bound
+        for i in range(61):
+            r = Fraction(i, 60)
+            assert is_quantum_nash(game, PayoffParams(r, Fraction(1))) == (r >= bound), (game.name, r)
+
+
+@st.composite
+def stabilizer_games(draw):
+    """A random graph on 2..5 vertices with distinct valid generator sets;
+    the type bits of uninvolved players are free."""
+    n = draw(st.integers(2, 5))
+    graph = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if draw(st.booleans())])
+    valid = []
+    for bits in range(1, 2**n):
+        der = derive_question(graph, {j for j in range(n) if (bits >> j) & 1})
+        if der.valid:
+            valid.append(der)
+    chosen = draw(st.lists(st.sampled_from(valid), min_size=1, max_size=6, unique_by=lambda d: d.generator_set))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(chosen), max_size=len(chosen)))
+    questions = []
+    for i, (der, w) in enumerate(zip(chosen, weights)):
+        free = draw(st.integers(0, 2**n - 1))
+        bits = tuple(
+            1 if j in der.generator_set else 0 if j in der.involved else (free >> j) & 1 for j in range(n)
+        )
+        questions.append(
+            QuestionSpec(f"q{i}", bits, der.involved, der.parity, Fraction(w, sum(weights)), der.generator_set)
+        )
+    return GameSpec("random", graph, tuple(questions))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    game=stabilizer_games(),
+    ratio=st.integers(1, 12).flatmap(lambda q: st.integers(0, q).map(lambda p: Fraction(p, q))),
+    v1=st.sampled_from([Fraction(1), Fraction(7, 3)]),
+)
+def test_is_quantum_nash_equals_policy_oracle(game, ratio, v1):
+    params = PayoffParams(ratio * v1, v1)
+    assert is_quantum_nash(game, params) == oracle_is_quantum_nash(game, params)
 
 
 def test_methods_agree_on_grid():
@@ -160,7 +221,7 @@ def test_methods_agree_on_grid():
         threshold, table = quantum_threshold(game), deviation_table(game)
         for i in range(0, 101, 10):
             r = Fraction(i, 100)
-            assert threshold.holds_at(PayoffParams(r, Fraction(1))) == table.advice_is_nash(r, Fraction(1))
+            assert (r >= threshold.bound) == table.advice_is_nash(r, Fraction(1))
 
 
 def test_deviation_witness_below_threshold():
@@ -200,9 +261,9 @@ def test_deviation_table_matches_per_policy_oracle():
         advice = advice_correlation(game)
         table = deviation_table(game, advice)
         for player in range(game.n):
-            for policy in DEVIATION_POLICIES:
+            for (c0, c1), policy in zip(table.rows[player], DEVIATION_POLICIES):
                 want = oracle_deviation_payoff_coefficients(game, advice, player, policy)
-                assert table.coefficients(player, policy) == want, (game.name, player, policy)
+                assert (Fraction(c0, table.scale), Fraction(c1, table.scale)) == want, (game.name, player, policy)
                 assert deviation_payoff_coefficients(game, advice, player, policy) == want
 
 

@@ -20,7 +20,8 @@ from grapheq import (
     outcome_law,
     stabilizer_word,
 )
-from helpers import edgeless, linear_image_distribution, probability_of
+from grapheq import gf2
+from helpers import edgeless, linear_image_distribution, oracle_neighbors, probability_of
 
 I2 = np.eye(2, dtype=complex)
 PX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -40,7 +41,7 @@ def generator_matrix(graph, i):
     for j in range(graph.n):
         if j == i:
             mats.append(PX)
-        elif j in graph.neighbors(i):
+        elif j in oracle_neighbors(graph, i):
             mats.append(PZ)
         else:
             mats.append(I2)
@@ -123,6 +124,28 @@ def test_derivation_matches_word_support_and_sign():
                 assert "Y" in w.letters
 
 
+def set_derivation(graph, k):
+    """(valid, involved, parity, required bases) of K from neighbour sets:
+    K is valid when each of its vertices has an even number of neighbours
+    in K; the involved set adds the vertices with an odd number; the parity
+    counts the edges inside K."""
+    odd = {j for j in range(graph.n) if len(oracle_neighbors(graph, j) & k) % 2}
+    if odd & k:
+        return False, None, None, None
+    parity = sum(1 for u, v in graph.edges if u in k and v in k) % 2
+    bases = tuple("X" if j in k else "Z" if j in odd else None for j in range(graph.n))
+    return True, k | odd, parity, bases
+
+
+def test_derive_question_matches_set_derivation_exhaustive():
+    rng = random.Random(23)
+    graphs = [Graph.cycle(n) for n in range(3, 8)] + [random_graph(rng, rng.randint(1, 7)) for _ in range(30)]
+    for g in graphs:
+        for k in subsets(g.n):
+            d = derive_question(g, k)
+            assert (d.valid, d.involved, d.parity, d.required_basis) == set_derivation(g, k), (g, k)
+
+
 def test_word_product_rule_exhaustive_on_cycle():
     # letters compose by XZ bookkeeping; the sign follows the edge count of
     # the symmetric difference
@@ -139,7 +162,7 @@ def test_word_product_rule_exhaustive_on_cycle():
                 back[compose[a] ^ compose[b]] for a, b in zip(wa.letters, wb.letters)
             )
             assert wc.letters == expected
-            assert wc.sign_exponent == g.internal_edge_count(kc) % 2
+            assert wc.sign_exponent == sum(1 for u, v in g.edges if u in kc and v in kc) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +226,7 @@ def test_law_matches_admissible_subset_enumeration():
                 if any(bases[j] == "Z" for j in k):
                     continue
                 if any(
-                    bases[j] == "X" and len(g.neighbors(j) & k) % 2 == 1
+                    bases[j] == "X" and len(oracle_neighbors(g, j) & k) % 2 == 1
                     for j in range(g.n)
                 ):
                     continue
@@ -285,7 +308,7 @@ def test_marginal_and_parity_match_support_enumeration():
 
 def test_inconsistent_constraints_rejected():
     with pytest.raises(InconsistentLawError):
-        OutcomeLaw(2, [[1, 0], [1, 0]], [0, 1])
+        OutcomeLaw(2, [0b01, 0b01], [0, 1])
 
 
 def test_sample_stays_in_support():
@@ -321,7 +344,7 @@ def test_bitmask_law_matches_support_enumeration(kind):
     for _ in range(8 if kind == "random" else 3):
         n = rng.randint(1, 7)
         matrix, rhs = random_law_constraints(rng, n, kind)
-        law = OutcomeLaw(n, matrix, rhs)
+        law = OutcomeLaw(n, [gf2.pack(row) for row in matrix.tolist()], rhs)
         # the support by trying every answer vector against the raw system
         support = [
             a for a in itertools.product((0, 1), repeat=n) if np.array_equal((matrix.astype(int) @ a) % 2, rhs)
@@ -353,8 +376,6 @@ def test_bitmask_law_matches_support_enumeration(kind):
 
 
 def test_law_is_factored_once_per_constraint_set(monkeypatch):
-    from grapheq import gf2
-
     law = outcome_law(Graph.cycle(5), ["X", "Z", "Z", "X", "Z"])
     calls = []
     for name in ("nullspace", "reduce_augmented"):
