@@ -14,9 +14,10 @@ The exhaustive scan runs on one deviation table per game: for every player
 and question, the exact law of (own advice bit, parity of the other involved
 players) is read once, as a coset of bitmasks with integer masses, from the
 question's factored outcome law.  The payoff coefficients (c0, c1) of all 16
-policies follow as integers over one common scale, so every comparison
-against (v0+v1)/2 is an integer comparison.  Building the table takes a few
-milliseconds, so ``is_quantum_nash`` rebuilds it on every call.
+policies follow as integers over one common scale.  Each player's
+identity policy among them is what following the advice is worth to that
+player, so every comparison is an integer comparison.  Building the table
+takes a few milliseconds, so ``is_quantum_nash`` rebuilds it on every call.
 """
 
 from __future__ import annotations
@@ -138,6 +139,10 @@ def _policy_index(policy) -> int:
         raise ValueError(f"policy must be four 0/1 answers, got {policy!r}") from None
 
 
+# the identity policy: answer the advice bit whatever the type
+FOLLOW_INDEX = _policy_index((0, 1, 0, 1))
+
+
 def _deviation_row(
     game: GameSpec, advice: Advice, player: int, weight_scale: int
 ) -> tuple[tuple[int, int], ...]:
@@ -191,16 +196,22 @@ class DeviationTable:
     rows: tuple[tuple[tuple[int, int], ...], ...]
 
     def advice_is_nash(self, v0, v1) -> bool:
-        """No policy of any player beats following the advice, (v0+v1)/2.
+        """No policy of any player beats that player's identity policy.
 
-        Compared in integers: 2*(c0*a0 + c1*a1) <= scale*(a0 + a1), with
-        v0 and v1 brought over a common denominator as a0 and a1.
+        The identity policy answers as advised, so its entry is what
+        following the advice is worth to that player; it equals (v0+v1)/2
+        only when the advice marginals are uniform.  Compared in integers,
+        with v0 and v1 brought over a common denominator as a0 and a1.
         """
         v0, v1 = Fraction(v0), Fraction(v1)
         den = math.lcm(v0.denominator, v1.denominator)
         a0, a1 = int(v0 * den), int(v1 * den)
-        bar = self.scale * (a0 + a1)
-        return all(2 * (c0 * a0 + c1 * a1) <= bar for row in self.rows for c0, c1 in row)
+        for row in self.rows:
+            f0, f1 = row[FOLLOW_INDEX]
+            bar = f0 * a0 + f1 * a1
+            if any(c0 * a0 + c1 * a1 > bar for c0, c1 in row):
+                return False
+        return True
 
 
 def deviation_table(game: GameSpec, advice: Advice | None = None) -> DeviationTable:
@@ -230,11 +241,11 @@ def deviation_payoff_coefficients(
 def is_quantum_nash(game: GameSpec, params: PayoffParams) -> bool:
     """Is following the advice a Nash equilibrium at these payoffs?
 
-    No policy of any player may beat the equilibrium utility (v0+v1)/2:
-    all 16 post-processing policies are scanned in integers over the
-    deviation table.  This decides every stabilizer-backed game; the bound
-    of ``quantum_threshold`` is its closed form only when the advice is
-    uniform and belief-invariant.
+    No policy of any player may beat following the advice, that player's
+    identity policy: all 16 post-processing policies are scanned in
+    integers over the deviation table.  The bound of ``quantum_threshold``
+    is this scan's closed form only when the advice is uniform and
+    belief-invariant.
     """
     if params.penalty != 0:
         raise ValueError("equilibrium test applies to the base game (penalty 0)")
@@ -242,15 +253,16 @@ def is_quantum_nash(game: GameSpec, params: PayoffParams) -> bool:
 
 
 def qsw(params: PayoffParams) -> Fraction:
-    """Social welfare of the advice-following strategy: (v0+v1)/2."""
+    """Social welfare of the advice-following strategy when every advice
+    marginal is uniform: (v0+v1)/2."""
     return (params.v0 + params.v1) / 2
 
 
 def quantum_player_utilities(game: GameSpec, params: PayoffParams) -> tuple[Fraction, ...]:
     """Per-player expected utility computed directly from the advice laws.
 
-    Cross-check for the closed form: the advice always wins and each
-    player's marginal is uniform, so every entry equals (v0+v1)/2.
+    Cross-check for the closed form: where the advice always wins and each
+    player's marginal is uniform, every entry equals (v0+v1)/2.
     """
     advice = advice_correlation(game)
     totals = [Fraction(0)] * game.n

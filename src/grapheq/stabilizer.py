@@ -169,6 +169,9 @@ class OutcomeLaw:
     """
 
     def __init__(self, n: int, rows, rhs):
+        rows, rhs = list(rows), list(rhs)
+        if len(rows) != len(rhs) or not all(0 <= row < 1 << n for row in rows):
+            raise ValueError(f"need one rhs bit per row and every row a bitmask below 2^{n}")
         self.n = n
         reduced = gf2.reduce_augmented(rows, rhs, n)
         if reduced is None:

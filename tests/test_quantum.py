@@ -143,10 +143,15 @@ ISOLATED_VERTEX_DOC = {
 
 
 def oracle_is_quantum_nash(game, params):
-    """No player gains by any of the 16 policies, in Fractions."""
+    """No player gains by any of the 16 policies, in Fractions.
+
+    Each policy is measured against the player's utility for following the
+    advice, read from the advice marginals by ``quantum_player_utilities``.
+    """
     advice = advice_correlation(game)
+    follow = quantum_player_utilities(game, params)
     return all(
-        c0 * params.v0 + c1 * params.v1 <= qsw(params)
+        c0 * params.v0 + c1 * params.v1 <= follow[player]
         for player in range(game.n)
         for c0, c1 in (
             oracle_deviation_payoff_coefficients(game, advice, player, policy) for policy in DEVIATION_POLICIES
@@ -154,12 +159,25 @@ def oracle_is_quantum_nash(game, params):
     )
 
 
+def test_non_uniform_advice_is_measured_against_following():
+    # player 0's advice is always 0 on its isolated vertex, so following is
+    # worth 7/8 v0 + 1/8 v1 to them, not (v0+v1)/2; answering 1 on the
+    # type-0 round q3, where they are not involved, earns 3/4 v0 + 1/4 v1
+    game, _ = game_from_document(ISOLATED_VERTEX_DOC)
+    advice = advice_correlation(game)
+    params = PayoffParams(Fraction(1, 2), Fraction(1))
+    assert quantum_player_utilities(game, params)[0] == Fraction(9, 16)
+    assert deviation_payoff_coefficients(game, advice, 0, (0, 1, 0, 1)) == (Fraction(7, 8), Fraction(1, 8))
+    assert deviation_payoff_coefficients(game, advice, 0, (1, 1, 0, 1)) == (Fraction(3, 4), Fraction(1, 4))
+    assert not is_quantum_nash(game, params)
+
+
 def test_quantum_decides_non_uniform_advice_by_the_scan(tmp_path):
     game, _ = game_from_document(ISOLATED_VERTEX_DOC)
     assert verify_uniform_and_belief_invariant(game).uniform_violations[0] == ("q0", 0)
     path = tmp_path / "iso3.json"
     path.write_text(json.dumps(ISOLATED_VERTEX_DOC), encoding="utf-8")
-    for v0, want in (("1/4", False), ("1/3", True), ("1/2", True)):
+    for v0, want in (("1/4", False), ("1/3", False), ("1/2", False), ("1", True)):
         assert oracle_is_quantum_nash(game, PayoffParams(Fraction(v0), Fraction(1))) == want
         code, out, err = run_cli("quantum", "--game", str(path), "--v0", v0, "--v1", "1")
         assert (code, err) == (0, "")

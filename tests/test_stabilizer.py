@@ -311,6 +311,13 @@ def test_inconsistent_constraints_rejected():
         OutcomeLaw(2, [0b01, 0b01], [0, 1])
 
 
+def test_malformed_rows_rejected():
+    # a bit at or above n would land on the right-hand side column
+    for rows, rhs in (([0b100], [0]), ([0b01], [0, 1]), ([-1], [0])):
+        with pytest.raises(ValueError):
+            OutcomeLaw(2, rows, rhs)
+
+
 def test_sample_stays_in_support():
     rng = random.Random(3)
     law = outcome_law(Graph.cycle(5), ["X", "Z", "Z", "Z", "Z"])
