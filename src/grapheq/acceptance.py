@@ -435,14 +435,3 @@ ALL_CHECKS = (
     check_player_scaling,
     check_win_oracle,
 )
-
-
-def run_all(report=None) -> list[CheckResult]:
-    """Run every check, optionally streaming results through ``report``."""
-    results = []
-    for check in ALL_CHECKS:
-        result = check()
-        results.append(result)
-        if report is not None:
-            report(result)
-    return results

@@ -251,6 +251,8 @@ def kfold_bruteforce_csw(
     game: GameSpec, k: int, params: PayoffParams, *, gt: GroupTable | None = None
 ) -> KfoldReport:
     """Oracle: exhaustive product-profile search, k <= 2 and k*n <= 12."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if k * game.n > 12:
         raise SizeLimitError("brute force limited to 12 players")
     if k > 2:
@@ -333,6 +335,8 @@ def kfold_best_csw(
     any zero-win-probability group have SW exactly 0: that group's own
     winning utility is 0 and its factor kills every other term.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     gt = gt or GroupTable(game, params)
     *head, last = itertools.islice(_kfold_csws(gt), k)
     best = Fraction(*last)

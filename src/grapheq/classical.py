@@ -565,7 +565,6 @@ class EquilibriumReport:
     criterion: str
     game_name: str
     params: PayoffParams | None
-    regime: tuple[Fraction, Fraction] | None
     entries: tuple[EquilibriumEntry, ...]
     orbits: tuple[Orbit, ...]
 
@@ -583,7 +582,6 @@ def build_report(
     profiles,
     criterion: str,
     params: PayoffParams | None = None,
-    regime: tuple[Fraction, Fraction] | None = None,
     table: PayoffTable | None = None,
     group: SymmetryGroup | None = None,
 ) -> EquilibriumReport:
@@ -597,7 +595,7 @@ def build_report(
         code = profile_to_code(p, table.n)
         payoffs = tuple(table.payoff(code, j) for j in range(table.n))
         entries.append(EquilibriumEntry(p, payoffs, table.p_win(code), orbit_of[p]))
-    return EquilibriumReport(criterion, game.name, params, regime, tuple(entries), tuple(orbits))
+    return EquilibriumReport(criterion, game.name, params, tuple(entries), tuple(orbits))
 
 
 def best_csw(

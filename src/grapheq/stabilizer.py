@@ -243,14 +243,6 @@ class OutcomeLaw:
         for point in gf2.coset(self._particular, self._basis):
             yield gf2.unpack(point, self.n)
 
-    def sample(self, rng) -> tuple[int, ...]:
-        """Draw one answer vector.  Demo helper; analyses never sample."""
-        point = self._particular
-        for row in self._basis:
-            if rng.random() < 0.5:
-                point ^= row
-        return gf2.unpack(point, self.n)
-
 
 def outcome_law(graph: Graph, bases) -> OutcomeLaw:
     """Joint answer law for measuring each graph-state qubit in X or Z.

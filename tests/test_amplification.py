@@ -234,6 +234,19 @@ def test_kfold_one_group_matches_base():
     assert dec.csw == bf.csw == Fraction(23, 30)
 
 
+def test_kfold_bruteforce_rejects_k_below_one():
+    # k = 0 and negative k used to fall through to the k = 2 search
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            kfold_bruteforce_csw(builtin_game("NC00_C5"), k, PARAMS)
+
+
+def test_kfold_decomposition_rejects_k_below_one():
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            kfold_best_csw(builtin_game("NC00_C5"), k, PARAMS)
+
+
 def test_kfold_two_groups_decomposition_equals_bruteforce():
     game = builtin_game("NC00_C5")
     gt = GroupTable(game, PARAMS)

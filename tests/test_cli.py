@@ -4,7 +4,7 @@ import json
 import time
 from fractions import Fraction
 
-from grapheq import PayoffParams, builtin_game, game_to_document
+from grapheq import PayoffParams, builtin_game, classical, cli, game_to_document
 from helpers import cycle_game, run_cli
 
 
@@ -331,3 +331,18 @@ def test_huge_weight_denominators_exit_0(tmp_path):
         if Fraction(s["lower"]) < params.ratio < Fraction(s["upper"])
     ]
     assert segment["profileCount"] == len(nash)
+
+
+def test_regimes_searches_symmetries_once(monkeypatch):
+    # one group serves the orbit partition of every segment
+    calls, search = [], classical.reporting_symmetries
+
+    def counting(game):
+        calls.append(game.name)
+        return search(game)
+
+    monkeypatch.setattr(cli, "reporting_symmetries", counting, raising=False)
+    monkeypatch.setattr(classical, "reporting_symmetries", counting)
+    code, out, _ = run_cli("regimes", "--game", "NC00_C5")
+    assert (code, out.count(" orbits\n")) == (0, 3)
+    assert calls == ["NC00_C5"]

@@ -147,3 +147,16 @@ def test_neighbour_masks_are_folded_only_in_word():
             if ("^= nbr[" in line and number not in allowed) or DELETED_DUPLICATES.search(line):
                 stray.append(f"{path.name}:{number}: {line.strip()}")
     assert stray == []
+
+
+def test_cli_has_one_json_writer_and_one_game_loader():
+    """Every subcommand writes json through ``cli._write_json`` and loads its
+    game through ``cli._inputs``: the module spells ``json.dumps`` once and
+    calls ``_load_game`` from ``_inputs`` alone."""
+    tree = ast.parse(SRC.joinpath("grapheq", "cli.py").read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    body = {n.name: range(n.lineno, n.end_lineno + 1) for n in nodes if isinstance(n, ast.FunctionDef)}
+    dumps = [n.lineno for n in nodes if isinstance(n, ast.Attribute) and n.attr == "dumps"]
+    loads = [n.lineno for n in nodes if isinstance(n, ast.Name) and n.id == "_load_game"]
+    assert len(dumps) == 1 and dumps[0] in body["_write_json"]
+    assert len(loads) == 1 and loads[0] in body["_inputs"]

@@ -185,6 +185,22 @@ def test_quantum_decides_non_uniform_advice_by_the_scan(tmp_path):
         assert (doc["uniformAdvice"], doc["bound"], doc["isNash"]) == (False, "v0/v1 >= 1", want), v0
 
 
+def test_quantum_qsw_is_the_welfare_of_following_non_uniform_advice(tmp_path):
+    # the printed qsw is the players' mean utility for following the advice,
+    # which is (v0+v1)/2 only when every advice marginal is uniform
+    game, _ = game_from_document(ISOLATED_VERTEX_DOC)
+    path = tmp_path / "iso3.json"
+    path.write_text(json.dumps(ISOLATED_VERTEX_DOC), encoding="utf-8")
+    printed = {}
+    for v0 in ("1/4", "1/3", "1/2", "1"):
+        follow = quantum_player_utilities(game, PayoffParams(Fraction(v0), Fraction(1)))
+        code, out, err = run_cli("quantum", "--game", str(path), "--v0", v0, "--v1", "1")
+        assert (code, err) == (0, "")
+        printed[v0] = json.loads(out)["qsw"]
+        assert Fraction(printed[v0]) == sum(follow) / game.n, v0
+    assert printed["1/2"] == "11/16"
+
+
 def test_is_quantum_nash_matches_bound_on_uniform_corpus():
     # every builtin and cycle has uniform, belief-invariant advice, where
     # the bound is the closed form of the scan

@@ -318,14 +318,6 @@ def test_malformed_rows_rejected():
             OutcomeLaw(2, rows, rhs)
 
 
-def test_sample_stays_in_support():
-    rng = random.Random(3)
-    law = outcome_law(Graph.cycle(5), ["X", "Z", "Z", "Z", "Z"])
-    support = set(law.support())
-    for _ in range(50):
-        assert law.sample(rng) in support
-
-
 def random_law_constraints(rng, n, kind):
     """A consistent (matrix, rhs) pair: no rows, zero rows, a full-rank
     triangular system with shuffled rows, or random rows."""
